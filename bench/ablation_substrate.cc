@@ -1,6 +1,6 @@
 /**
  * @file
- * Substrate ablations beyond the paper's Fig. 12 (DESIGN.md SS7):
+ * Substrate ablations beyond the paper's Fig. 12:
  * how SGCN's speedup depends on design choices the paper fixes —
  * cache replacement policy, DRAM scheduling (FR-FCFS vs FCFS),
  * the aggregation psum-buffer budget, and the split- vs embedded-
@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     Cli cli(argc, argv);
     BenchOptions options = BenchOptions::fromCli(cli);
-    banner("substrate ablations (DESIGN.md SS7)", options);
+    banner("substrate ablations beyond Fig. 12", options);
 
     const char *abbrevs[] = {"CR", "PM", "RD"};
 

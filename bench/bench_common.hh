@@ -15,8 +15,8 @@
  *                        serial isolated-layer extrapolation). =tile
  *                        gates consumers on per-tile output
  *                        availability instead of whole-layer drains.
- *   --chips N            shard each run over N chips (default 1,
- *                        the monolithic bit-identical path)
+ *   --chips N            shard each run over N >= 1 chips (default
+ *                        1: the whole graph on one accelerator)
  *   --partition contiguous|edge-balanced
  *                        multi-chip vertex partitioner policy
  *   --link pcie4|noc     interconnect preset for halo exchanges
@@ -190,13 +190,6 @@ personalityIndex(const std::vector<AccelConfig> &configs,
             return i;
     }
     fatal("no personality named ", name, " in the sweep set");
-}
-
-/** Geomean over per-dataset speedups, ignoring non-positives. */
-inline double
-geomeanSpeedup(const std::vector<double> &speedups)
-{
-    return geomean(speedups);
 }
 
 } // namespace sgcn::bench

@@ -89,7 +89,7 @@ main(int argc, char **argv)
 
     std::vector<std::string> geo_row{"Geomean"};
     for (auto &series : speedups)
-        geo_row.push_back(Table::num(geomeanSpeedup(series), 2));
+        geo_row.push_back(Table::num(geomean(series), 2));
     table.row(geo_row);
     table.print();
 

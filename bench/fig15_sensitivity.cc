@@ -49,7 +49,7 @@ main(int argc, char **argv)
         }
         std::vector<std::string> row{std::to_string(depth)};
         for (const auto &series : speedups)
-            row.push_back(Table::num(geomeanSpeedup(series), 2));
+            row.push_back(Table::num(geomean(series), 2));
         layers_table.row(row);
     }
     layers_table.print();
@@ -75,7 +75,7 @@ main(int argc, char **argv)
         }
         std::vector<std::string> row{std::to_string(kb) + "KB"};
         for (const auto &series : speedups)
-            row.push_back(Table::num(geomeanSpeedup(series), 2));
+            row.push_back(Table::num(geomean(series), 2));
         cache_table.row(row);
     }
     cache_table.print();

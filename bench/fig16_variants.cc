@@ -53,7 +53,7 @@ main(int argc, char **argv)
         }
         std::vector<std::string> geo{"Geomean"};
         for (const auto &series : speedups)
-            geo.push_back(Table::num(geomeanSpeedup(series), 2));
+            geo.push_back(Table::num(geomean(series), 2));
         table.row(geo);
         table.print();
         std::printf("\n");

@@ -2,7 +2,8 @@
  * @file
  * Fig. 17: sensitivity of SGCN's off-chip accesses to the unit
  * slice size C (32-256), normalized to C = 96, plus a companion
- * sweep over the SAC strip height (DESIGN.md SS7).
+ * sweep over the SAC strip height (a substrate choice the paper
+ * fixes).
  *
  * Paper anchors: best overall at C = 96; the whole 32-256 range
  * stays within a modest band of it.

@@ -42,7 +42,7 @@ main(int argc, char **argv)
 
     std::printf("\nnote: |V| capped at %u x scale with degree "
                 "preserved (Reddit's 492 capped at 48); NELL's input "
-                "width capped at %u (DESIGN.md SS6).\n",
+                "width capped at %u (simulation scale).\n",
                 kDatasetVertexCap, kInputWidthCap);
     return 0;
 }

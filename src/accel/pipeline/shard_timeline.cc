@@ -12,6 +12,12 @@ composeChipLayers(std::span<const LayerResult> chip_layers,
     SGCN_ASSERT(!chip_layers.empty(), "compose needs at least one chip");
 
     ComposedShardLayer out;
+    // A lone chip behind a free exchange is the unsharded layer:
+    // hand it back unchanged, its bandwidth utilization included.
+    if (chip_layers.size() == 1 && exchange.cycles == 0) {
+        out.merged = chip_layers.front();
+        return out;
+    }
     for (std::size_t c = 1; c < chip_layers.size(); ++c) {
         if (chip_layers[c].cycles >
             chip_layers[out.bottleneckChip].cycles) {

@@ -11,7 +11,10 @@
  * criticalEnd() == cycles, so the existing inter-layer pipeline
  * (LayerPipeline::append) chains sharded layers unchanged: the
  * exchange + weight prefetch of layer l+1 is exactly what hides
- * behind layer l's output drain.
+ * behind layer l's output drain. A lone chip behind a free exchange
+ * (every one-chip run, and the lone survivor of a chip-fail
+ * repartition after its recovered layer) is returned unchanged, so a
+ * one-chip partition reports exactly the unsharded layer.
  */
 
 #ifndef SGCN_ACCEL_PIPELINE_SHARD_TIMELINE_HH

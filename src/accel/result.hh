@@ -617,7 +617,9 @@ struct RunResult
     std::string accelName;
     std::string datasetAbbrev;
 
-    /** Extrapolated full-network totals (DESIGN.md SS6). */
+    /** Extrapolated full-network totals: the input layer once plus
+     *  the sampled intermediate layers scaled to the architectural
+     *  depth (see runner.hh). */
     LayerResult total;
 
     /** The simulated input layer (not extrapolated). */

@@ -164,15 +164,61 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
     return out;
 }
 
-/** The chips > 1 body of runNetwork; see RunOptions::chips. */
-Expected<RunResult>
-tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
-                     const NetworkSpec &net, const RunOptions &opts)
+} // namespace
+
+void
+applyPipelineFlag(RunOptions &opts, bool present,
+                  const std::string &value)
 {
+    if (!present)
+        return;
+    if (value.empty() || value == "1" || value == "true" ||
+        value == "yes" || value == "on" || value == "layer") {
+        opts.interLayerOverlap = true;
+        opts.tileOverlap = false;
+    } else if (value == "tile") {
+        opts.interLayerOverlap = true;
+        opts.tileOverlap = true;
+    } else if (value == "0" || value == "false" || value == "no" ||
+               value == "off") {
+        opts.interLayerOverlap = false;
+        opts.tileOverlap = false;
+    } else {
+        fatal("bad --pipeline value '", value,
+              "' (expected off|layer|tile)");
+    }
+}
+
+Expected<RunResult>
+tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
+              const NetworkSpec &net, const RunOptions &opts)
+{
+    SGCN_ASSERT(net.layers >= 2, "need at least two layers");
+    SGCN_ASSERT(opts.sampledIntermediateLayers >= 1,
+                "RunOptions::sampledIntermediateLayers must be >= 1: "
+                "a zero-sample run would silently report "
+                "input-layer-only totals");
+    if (opts.chips == 0) {
+        return makeError(ErrorCode::InvalidArgument,
+                         "chips must be at least 1 (got 0): a run "
+                         "needs an accelerator to run on");
+    }
+
+    // Fail early, by name, if any dataflow this run will execute is
+    // missing from the registry (the input layer may run a different
+    // strategy than the configured kind, SIII-A).
+    dataflowFor(LayerEngine::effectiveDataflow(config, false));
+    if (opts.includeInputLayer)
+        dataflowFor(LayerEngine::effectiveDataflow(config, true));
+
     RunResult run;
     run.accelName = config.name;
     run.datasetAbbrev = dataset.spec.abbrev;
 
+    // I-GCN preprocesses the topology with islandization. The
+    // permuted graph is memoized process-wide: in a sweep every
+    // island-reordering personality (and every repeat run) shares
+    // one islandization per dataset instead of recomputing it.
     std::shared_ptr<const CsrGraph> reordered;
     const CsrGraph *graph = &dataset.graph;
     if (config.islandReorder) {
@@ -181,6 +227,10 @@ tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
         graph = reordered.get();
     }
 
+    // Every run is a partition. One chip (the default) owns the whole
+    // graph with no halo, so its exchange is free, its layers pass
+    // through the compose unchanged, and its masks are the global
+    // ones: the single-accelerator run the paper's figures model.
     const unsigned chips = static_cast<unsigned>(
         std::min<std::uint64_t>(opts.chips, graph->numVertices()));
     if (Status valid = opts.faults.validate(chips); !valid.ok())
@@ -201,7 +251,8 @@ tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
         original_chip[c] = c;
     Cycle pending_recovery = 0;
 
-    ShardStats &shard = run.shard;
+    // Filled for every run, reported only for a sharded one (below).
+    ShardStats shard;
     shard.enabled = true;
     shard.chips = chips;
     shard.partitionPolicy = partitionPolicyName(opts.partitionPolicy);
@@ -350,8 +401,13 @@ tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
     run.total.merge(sampled_sum);
 
     if (opts.pipelined()) {
-        // Identical chaining to the monolithic path: the composed
-        // schedules satisfy criticalEnd() == cycles, and their
+        // Replace the serial cycle extrapolation with the chained
+        // timeline. Work counts (traffic, MACs, cache accesses) are
+        // timeline-independent and keep the serial extrapolation.
+        // Both gating granularities are chained (pure arithmetic
+        // over the already-simulated schedules), so every pipelined
+        // run carries the serial/per-layer/per-tile triple. Composed
+        // schedules satisfy criticalEnd() == cycles and their
         // exchange rides the input-DMA prefix, so the pipeline hides
         // it behind the previous layer's drain where it fits.
         const NetworkSchedule layer_sched = chainSampledSchedules(
@@ -361,9 +417,15 @@ tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
             run, arch_intermediate, opts.includeInputLayer,
             PipelineGating::PerTile);
         SGCN_ASSERT(layer_sched.totalCycles <= run.total.cycles,
-                    "pipelined sharded total exceeds its serial total");
+                    "pipelined total (", layer_sched.totalCycles,
+                    ") exceeds the serial total (", run.total.cycles,
+                    ") it replaces: a layer schedule must be "
+                    "inconsistent with its cycle count");
         SGCN_ASSERT(tile_sched.totalCycles <= layer_sched.totalCycles,
-                    "per-tile sharded total exceeds per-layer total");
+                    "per-tile-gated total (", tile_sched.totalCycles,
+                    ") exceeds the per-layer-gated total (",
+                    layer_sched.totalCycles,
+                    "): the tile gate must refine the layer gate");
         const NetworkSchedule &sched =
             opts.tileOverlap ? tile_sched : layer_sched;
         run.pipeline.enabled = true;
@@ -438,190 +500,11 @@ tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
     // through the per-chip counts.
     run.tdpWatts = energy_model.tdpWatts(desc) * chips;
     run.areaMm2 = energy_model.areaMm2(desc) * chips;
-    return run;
-}
 
-} // namespace
-
-void
-applyPipelineFlag(RunOptions &opts, bool present,
-                  const std::string &value)
-{
-    if (!present)
-        return;
-    if (value.empty() || value == "1" || value == "true" ||
-        value == "yes" || value == "on" || value == "layer") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = false;
-    } else if (value == "tile") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = true;
-    } else if (value == "0" || value == "false" || value == "no" ||
-               value == "off") {
-        opts.interLayerOverlap = false;
-        opts.tileOverlap = false;
-    } else {
-        fatal("bad --pipeline value '", value,
-              "' (expected off|layer|tile)");
-    }
-}
-
-Expected<RunResult>
-tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
-              const NetworkSpec &net, const RunOptions &opts)
-{
-    SGCN_ASSERT(net.layers >= 2, "need at least two layers");
-    SGCN_ASSERT(opts.sampledIntermediateLayers >= 1,
-                "RunOptions::sampledIntermediateLayers must be >= 1: "
-                "a zero-sample run would silently report "
-                "input-layer-only totals");
-
-    // Fail early, by name, if any dataflow this run will execute is
-    // missing from the registry (the input layer may run a different
-    // strategy than the configured kind, SIII-A).
-    dataflowFor(LayerEngine::effectiveDataflow(config, false));
-    if (opts.includeInputLayer)
-        dataflowFor(LayerEngine::effectiveDataflow(config, true));
-
-    // The sharded path is a separate body so chips=1 stays
-    // bit-identical to the monolithic code below by construction.
+    // A one-chip run reports no sharding: RunResult::shard keeps its
+    // defaults, which the CSV columns and --stats output read.
     if (opts.chips > 1)
-        return tryRunNetworkSharded(config, dataset, net, opts);
-
-    // Only dram-retry survives validation on a monolithic run; the
-    // faulted config copy exists only when it is actually wanted, so
-    // the fault-free path runs the caller's config untouched.
-    if (Status valid = opts.faults.validate(1); !valid.ok())
-        return valid.error();
-    const double retry_prob =
-        opts.faults.active() ? opts.faults.dramRetryProb() : 0.0;
-    AccelConfig faulted_config;
-    const AccelConfig *cfgp = &config;
-    if (retry_prob > 0.0) {
-        faulted_config = config;
-        faulted_config.dram.transientRetryProb = retry_prob;
-        faulted_config.dram.retrySeed =
-            FaultInjector::deriveSeed(opts.faults.seed, 0);
-        cfgp = &faulted_config;
-    }
-    const AccelConfig &cfg = *cfgp;
-
-    RunResult run;
-    run.accelName = config.name;
-    run.datasetAbbrev = dataset.spec.abbrev;
-
-    // I-GCN preprocesses the topology with islandization. The
-    // permuted graph is memoized process-wide: in a sweep every
-    // island-reordering personality (and every repeat run) shares
-    // one islandization per dataset instead of recomputing it.
-    std::shared_ptr<const CsrGraph> reordered;
-    const CsrGraph *graph = &dataset.graph;
-    if (config.islandReorder) {
-        reordered = PreprocessCache::instance().islandized(
-            dataset.graph);
-        graph = reordered.get();
-    }
-
-    if (opts.includeInputLayer) {
-        LayerContext ctx = makeInputLayer(dataset, *graph, cfg, net);
-        LayerEngine engine(cfg, ctx);
-        run.inputLayer = engine.run(opts.mode);
-        run.total.merge(run.inputLayer);
-    }
-
-    // Intermediate layers: X^l for l in 1..layers-1 feeds layer l+1.
-    const unsigned arch_intermediate = net.layers - 1;
-    const auto indices = sampleLayerIndices(
-        arch_intermediate, opts.sampledIntermediateLayers);
-    LayerResult sampled_sum;
-    for (unsigned idx : indices) {
-        const unsigned arch_layer = idx + 1;
-        LayerContext ctx = makeIntermediateLayer(dataset, *graph,
-                                                 cfg, net,
-                                                 arch_layer);
-        LayerEngine engine(cfg, ctx);
-        LayerResult layer = engine.run(opts.mode);
-        run.sampledLayers.push_back(layer);
-        sampled_sum.merge(layer);
-    }
-    sampled_sum.scale(static_cast<double>(arch_intermediate) /
-                      static_cast<double>(indices.size()));
-    run.total.merge(sampled_sum);
-
-    if (opts.pipelined()) {
-        // Replace the serial cycle extrapolation with the chained
-        // timeline. Work counts (traffic, MACs, cache accesses) are
-        // timeline-independent and keep the serial extrapolation.
-        // Both gating granularities are chained (pure arithmetic
-        // over the already-simulated schedules), so every pipelined
-        // run carries the serial/per-layer/per-tile triple.
-        const NetworkSchedule layer_sched = chainSampledSchedules(
-            run, arch_intermediate, opts.includeInputLayer,
-            PipelineGating::PerLayer);
-        const NetworkSchedule tile_sched = chainSampledSchedules(
-            run, arch_intermediate, opts.includeInputLayer,
-            PipelineGating::PerTile);
-        SGCN_ASSERT(layer_sched.totalCycles <= run.total.cycles,
-                    "pipelined total (", layer_sched.totalCycles,
-                    ") exceeds the serial total (", run.total.cycles,
-                    ") it replaces: a layer schedule must be "
-                    "inconsistent with its cycle count");
-        SGCN_ASSERT(tile_sched.totalCycles <= layer_sched.totalCycles,
-                    "per-tile-gated total (", tile_sched.totalCycles,
-                    ") exceeds the per-layer-gated total (",
-                    layer_sched.totalCycles,
-                    "): the tile gate must refine the layer gate");
-        const NetworkSchedule &sched =
-            opts.tileOverlap ? tile_sched : layer_sched;
-        run.pipeline.enabled = true;
-        run.pipeline.gating = opts.tileOverlap
-                                  ? PipelineGating::PerTile
-                                  : PipelineGating::PerLayer;
-        run.pipeline.serialCycles = run.total.cycles;
-        run.pipeline.pipelinedCycles = sched.totalCycles;
-        run.pipeline.overlapSavedCycles =
-            run.total.cycles - sched.totalCycles;
-        run.pipeline.perLayerCycles = layer_sched.totalCycles;
-        run.pipeline.perTileCycles = tile_sched.totalCycles;
-        run.pipeline.tileSavedCycles =
-            layer_sched.totalCycles - tile_sched.totalCycles;
-        const PipelinedLayer &bottleneck = sched.bottleneckStage();
-        run.pipeline.steadyStateAdvance = bottleneck.steadyCost();
-        run.pipeline.criticalPhase =
-            bottleneck.schedule.longestPhase();
-        run.total.cycles = sched.totalCycles;
-    }
-
-    if (run.total.cycles > 0) {
-        run.total.bwUtil = std::min(
-            1.0, static_cast<double>(run.total.traffic.totalLines()) *
-                     config.dram.burstCycles /
-                     (static_cast<double>(config.dram.channels) *
-                      static_cast<double>(run.total.cycles)));
-    }
-
-    EnergyModel energy_model(
-        {}, config.dram.generation == DramGeneration::Hbm1);
-    RunCounts counts;
-    counts.macs = run.total.macs;
-    counts.cacheAccesses = run.total.cacheAccesses;
-    counts.dramLines = run.total.traffic.totalLines();
-    counts.cycles = run.total.cycles;
-    AccelDescriptor desc = config.energyDesc;
-    desc.cacheKb =
-        static_cast<double>(config.cache.sizeBytes) / 1024.0;
-    run.energy = energy_model.dynamicEnergy(counts, desc.cacheKb);
-    run.tdpWatts = energy_model.tdpWatts(desc);
-    run.areaMm2 = energy_model.areaMm2(desc);
-
-    if (opts.faults.active()) {
-        run.faults.enabled = true;
-        run.faults.spec = opts.faults.canonical();
-        run.faults.seed = opts.faults.seed;
-        run.faults.degradedMode = degradedModeName(opts.degradedMode);
-        run.faults.dramRetries = run.total.dramRetries;
-        run.faults.survivingChips = 1;
-    }
+        run.shard = std::move(shard);
     return run;
 }
 

@@ -4,10 +4,18 @@
  *
  * Simulates the input layer once plus a sample of intermediate
  * layers (midpoints of equal-depth strata of the architectural
- * network), then extrapolates intermediate totals to the full depth
- * (DESIGN.md SS6). The input layer is never extrapolated, so
- * NELL-style first-layer effects amortize over the network exactly
- * as in the paper (SVI-B).
+ * network), then extrapolates intermediate totals to the full depth:
+ * a 28-layer run costs a handful of layer simulations, and the
+ * stratified midpoints track the sparsity trend across depth (see
+ * sampleLayerIndices in gcn/sparsity_model.hh). The input layer is
+ * never extrapolated, so NELL-style first-layer effects amortize
+ * over the network exactly as in the paper (SVI-B).
+ *
+ * Every run is a partition of the graph over RunOptions::chips
+ * accelerators, and one body drives them all: each layer runs on
+ * every chip and composes onto one timeline behind its halo
+ * exchange. A one-chip partition owns the whole graph with no halo,
+ * so its exchange is free and its layers are the unsharded ones.
  *
  * With RunOptions::interLayerOverlap the cycle extrapolation is
  * overlap-aware instead: each sampled layer's phase schedule repeats
@@ -89,13 +97,15 @@ struct RunOptions
     bool releaseArtifacts = false;
 
     /**
-     * Simulated accelerator chips. 1 (the default) is the monolithic
-     * path, bit-identical to every release before the sharded
-     * refactor. N > 1 partitions the graph with partitionPolicy,
-     * runs every layer on all chips concurrently (fanned over the
-     * same jobs pool), and composes the per-chip timelines with a
-     * halo-feature exchange over `link` between layers. Clamped to
-     * the vertex count. RunResult::shard reports the breakdown.
+     * Simulated accelerator chips, at least 1 (0 is an
+     * InvalidArgument error). The run partitions the graph with
+     * partitionPolicy, runs every layer on all chips concurrently
+     * (fanned over the same jobs pool), and composes the per-chip
+     * timelines with a halo-feature exchange over `link` between
+     * layers. Clamped to the vertex count. 1 (the default) is the
+     * one-chip partition: the whole graph on one accelerator with no
+     * exchange, the single-accelerator run the paper models.
+     * RunResult::shard reports the breakdown when chips > 1.
      */
     unsigned chips = 1;
 
@@ -142,9 +152,9 @@ void applyPipelineFlag(RunOptions &opts, bool present,
 
 /**
  * Simulate @p net on @p dataset with accelerator @p config,
- * reporting recoverable failures — an invalid fault plan for the run
- * shape, or a chip failure under --degraded-mode fail-fast — as
- * typed errors instead of exiting.
+ * reporting recoverable failures — zero chips, an invalid fault plan
+ * for the run shape, or a chip failure under --degraded-mode
+ * fail-fast — as typed errors instead of exiting.
  */
 Expected<RunResult> tryRunNetwork(const AccelConfig &config,
                                   const Dataset &dataset,

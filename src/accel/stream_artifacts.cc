@@ -168,6 +168,14 @@ StreamArtifactCache::chipMask(const MaskHandle &parent,
     SGCN_ASSERT(parent, "chip mask needs a parent mask");
     SGCN_ASSERT(chip < partition.numChips(), "chip out of range");
     const ChipShard &shard = partition.shard(chip);
+    // A shard owning every row with no halo is the whole graph: its
+    // slice is the parent itself, so a one-chip run shares the global
+    // masks (and the layouts prepared against them) instead of a
+    // gathered copy.
+    if (shard.ownedRows() == partition.numVertices() &&
+        shard.haloRows() == 0) {
+        return parent;
+    }
     const auto total = static_cast<std::uint32_t>(shard.ownedRows() +
                                                   shard.haloRows());
 

@@ -83,10 +83,12 @@ class StreamArtifactCache
 
     /**
      * A shared, cache-owned copy of @p graph keyed by its content
-     * fingerprint. All configs of a sweep resolve their dataset to
-     * the same canonical instance, so graph-keyed artifacts (views,
-     * degree orders) co-own one topology regardless of which Dataset
-     * object each caller happened to load.
+     * fingerprint, for contexts built by hand. Runs resolve their
+     * topology through partition() instead, whose one-chip shard
+     * holds the same rows, columns and weights; graph-keyed artifacts
+     * (views, degree orders) key on the content fingerprint, so they
+     * are shared regardless of which copy or Dataset object a caller
+     * holds.
      */
     std::shared_ptr<const CsrGraph> canonicalGraph(const CsrGraph &graph);
 
@@ -139,7 +141,8 @@ class StreamArtifactCache
      * parent rows (otherwise they stay all-zero, the shape of a chip
      * *output* mask). The handle's key digests the parent key and
      * the partition identity, so chip layouts prepared against it
-     * never alias global ones.
+     * never alias global ones. A shard owning every row with no halo
+     * (a one-chip partition) gets @p parent back unchanged.
      */
     MaskHandle chipMask(const MaskHandle &parent,
                         const GraphPartition &partition, unsigned chip,

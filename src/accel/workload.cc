@@ -20,16 +20,29 @@ maskSeed(const DatasetSpec &spec, unsigned arch_layer)
 namespace
 {
 
-/** Fill the dataflow-independent parts of a context. All heavy state
- *  resolves through the stream-artifact cache, so the six
- *  personalities of a sweep share one copy per dataset. */
-void
-fillCommon(LayerContext &ctx, const CsrGraph &graph,
-           const NetworkSpec &net)
+/**
+ * The one builder body: the context of @p arch_layer (0 is the input
+ * layer, X^0) on @p chip of @p partition. The chip runs its shard's
+ * subgraph against the *global* layer masks sliced to its rows: the
+ * input covers owned + halo rows, the output owned rows only (the
+ * tail stays zero; the chip never writes halo outputs). Masks,
+ * layouts and the shard itself resolve through the stream-artifact
+ * cache, so the personalities of a sweep share one copy per dataset
+ * and a one-chip partition hands back the global masks unsliced.
+ */
+LayerContext
+makeLayer(const Dataset &dataset, const GraphPartition &partition,
+          unsigned chip, const AccelConfig &config,
+          const NetworkSpec &net, unsigned arch_layer)
 {
+    const bool input = arch_layer == 0;
+    const ChipShard &shard = partition.shard(chip);
     auto &artifacts = StreamArtifactCache::instance();
-    ctx.graphOwner = artifacts.canonicalGraph(graph);
+
+    LayerContext ctx;
+    ctx.graphOwner = shard.graph;
     ctx.graph = ctx.graphOwner.get();
+    ctx.ownedRows = shard.ownedRows();
     ctx.residual = net.residual;
     ctx.edgeBytes = net.edgeBytes();
     if (net.agg == AggKind::Sage) {
@@ -38,66 +51,59 @@ fillCommon(LayerContext &ctx, const CsrGraph &graph,
         ctx.edgeSampleFraction = artifacts.sageEdgeFraction(
             *ctx.graph, net.sageFanout, net.sageSeed);
     }
-}
-
-/** fillCommon for a chip shard: the shard already owns its shared
- *  subgraph, so it needs no canonicalization round-trip. */
-void
-fillChipCommon(LayerContext &ctx, const ChipShard &shard,
-               const NetworkSpec &net)
-{
-    ctx.graphOwner = shard.graph;
-    ctx.graph = ctx.graphOwner.get();
-    ctx.residual = net.residual;
-    ctx.edgeBytes = net.edgeBytes();
-    ctx.ownedRows = shard.ownedRows();
-    if (net.agg == AggKind::Sage) {
-        ctx.edgeSampleFraction =
-            StreamArtifactCache::instance().sageEdgeFraction(
-                *ctx.graph, net.sageFanout, net.sageSeed);
-    }
-}
-
-} // namespace
-
-LayerContext
-makeIntermediateLayer(const Dataset &dataset, const CsrGraph &graph,
-                      const AccelConfig &config, const NetworkSpec &net,
-                      unsigned arch_layer)
-{
-    SGCN_ASSERT(arch_layer >= 1 && arch_layer < net.layers,
-                "intermediate layer index out of range: ", arch_layer);
-
-    LayerContext ctx;
-    fillCommon(ctx, graph, net);
-    ctx.isInputLayer = false;
-    ctx.inWidth = net.hidden;
+    ctx.isInputLayer = input;
+    ctx.inWidth = input ? dataset.inputWidth : net.hidden;
     ctx.outWidth = net.hidden;
-    ctx.inSparsity = modeledLayerSparsity(dataset.spec, arch_layer,
-                                          net.layers, net.residual);
-    const unsigned out_layer = std::min(arch_layer + 1, net.layers);
-    ctx.outSparsity = modeledLayerSparsity(dataset.spec, out_layer,
-                                           net.layers, net.residual);
+    ctx.inSparsity = input ? dataset.spec.inputSparsity
+                           : modeledLayerSparsity(dataset.spec,
+                                                  arch_layer, net.layers,
+                                                  net.residual);
+    ctx.outSparsity = modeledLayerSparsity(
+        dataset.spec, std::min(arch_layer + 1, net.layers), net.layers,
+        net.residual);
 
-    auto &artifacts = StreamArtifactCache::instance();
-    const VertexId n = ctx.graph->numVertices();
-    const auto in_mask = artifacts.randomMask(
-        n, ctx.inWidth, ctx.inSparsity,
-        maskSeed(dataset.spec, arch_layer));
-    const auto out_mask = artifacts.randomMask(
+    const VertexId n = partition.numVertices();
+    StreamArtifactCache::MaskHandle in_global;
+    if (input && dataset.spec.oneHotInput) {
+        in_global = artifacts.oneHotMask(n, ctx.inWidth,
+                                         maskSeed(dataset.spec, 0));
+        ctx.inSparsity = in_global->sparsity();
+    } else {
+        in_global = artifacts.randomMask(
+            n, ctx.inWidth, ctx.inSparsity,
+            maskSeed(dataset.spec, arch_layer));
+    }
+    const auto out_global = artifacts.randomMask(
         n, ctx.outWidth, ctx.outSparsity,
         maskSeed(dataset.spec, arch_layer + 1));
+    const auto in_mask = artifacts.chipMask(in_global, partition, chip,
+                                            /*include_halo=*/true);
+    const auto out_mask = artifacts.chipMask(out_global, partition,
+                                             chip,
+                                             /*include_halo=*/false);
     ctx.inMask = in_mask.mask;
     ctx.outMask = out_mask.mask;
 
     // Offline tile sizing assumes the trained network's *average*
     // sparsity (SV-C); denser-than-average layers overflow, which is
-    // the working-set variability SAC absorbs.
-    const double expected_density =
+    // the working-set variability SAC absorbs. Input features ship
+    // dense; SGCN may read them through CSR when they are
+    // ultra-sparse (SVII-B), decided on the *global* input sparsity
+    // so every chip agrees on the layout kind. Input-layer layouts
+    // keep the default expected density (no offline estimate exists
+    // for X^0); the output is always the personality's format.
+    FormatKind in_format = config.format;
+    double expected_density =
         1.0 - modeledAvgSparsity(dataset.spec, net.layers,
                                  net.residual);
+    if (input) {
+        const bool sparse_input =
+            config.firstLayerSparseInput && ctx.inSparsity > 0.90;
+        in_format = sparse_input ? FormatKind::Csr : FormatKind::Dense;
+        expected_density = 0.5;
+    }
     ctx.inLayout = artifacts.preparedLayout(
-        config.format, ctx.inWidth, config.sliceC, expected_density,
+        in_format, ctx.inWidth, config.sliceC, expected_density,
         AddressMap::kFeatureInBase, in_mask);
     ctx.outLayout = artifacts.preparedLayout(
         config.format, ctx.outWidth, config.sliceC, expected_density,
@@ -105,51 +111,15 @@ makeIntermediateLayer(const Dataset &dataset, const CsrGraph &graph,
     return ctx;
 }
 
-LayerContext
-makeInputLayer(const Dataset &dataset, const CsrGraph &graph,
-               const AccelConfig &config, const NetworkSpec &net)
+/** The whole of @p graph as a one-chip partition. */
+std::shared_ptr<const GraphPartition>
+wholeGraph(const CsrGraph &graph)
 {
-    LayerContext ctx;
-    fillCommon(ctx, graph, net);
-    ctx.isInputLayer = true;
-    ctx.inWidth = dataset.inputWidth;
-    ctx.outWidth = net.hidden;
-    ctx.inSparsity = dataset.spec.inputSparsity;
-    ctx.outSparsity = modeledLayerSparsity(dataset.spec, 1, net.layers,
-                                           net.residual);
-
-    auto &artifacts = StreamArtifactCache::instance();
-    const VertexId n = ctx.graph->numVertices();
-    StreamArtifactCache::MaskHandle in_mask;
-    if (dataset.spec.oneHotInput) {
-        in_mask = artifacts.oneHotMask(n, ctx.inWidth,
-                                       maskSeed(dataset.spec, 0));
-        ctx.inSparsity = in_mask->sparsity();
-    } else {
-        in_mask = artifacts.randomMask(n, ctx.inWidth, ctx.inSparsity,
-                                       maskSeed(dataset.spec, 0));
-    }
-    const auto out_mask = artifacts.randomMask(
-        n, ctx.outWidth, ctx.outSparsity, maskSeed(dataset.spec, 1));
-    ctx.inMask = in_mask.mask;
-    ctx.outMask = out_mask.mask;
-
-    // Input features ship dense; SGCN may read them through CSR when
-    // they are ultra-sparse (SVII-B). The output is always the
-    // personality's intermediate format. Input layouts keep the
-    // default expected density (no offline estimate exists for X^0).
-    const bool sparse_input =
-        config.firstLayerSparseInput && ctx.inSparsity > 0.90;
-    const FormatKind in_format =
-        sparse_input ? FormatKind::Csr : FormatKind::Dense;
-    ctx.inLayout = artifacts.preparedLayout(
-        in_format, ctx.inWidth, config.sliceC, 0.5,
-        AddressMap::kFeatureInBase, in_mask);
-    ctx.outLayout = artifacts.preparedLayout(
-        config.format, ctx.outWidth, config.sliceC, 0.5,
-        AddressMap::kFeatureOutBase, out_mask);
-    return ctx;
+    return StreamArtifactCache::instance().partition(
+        graph, 1, PartitionPolicy::EdgeBalanced);
 }
+
+} // namespace
 
 LayerContext
 makeChipIntermediateLayer(const Dataset &dataset,
@@ -159,50 +129,7 @@ makeChipIntermediateLayer(const Dataset &dataset,
 {
     SGCN_ASSERT(arch_layer >= 1 && arch_layer < net.layers,
                 "intermediate layer index out of range: ", arch_layer);
-    const ChipShard &shard = partition.shard(chip);
-
-    LayerContext ctx;
-    fillChipCommon(ctx, shard, net);
-    ctx.isInputLayer = false;
-    ctx.inWidth = net.hidden;
-    ctx.outWidth = net.hidden;
-    ctx.inSparsity = modeledLayerSparsity(dataset.spec, arch_layer,
-                                          net.layers, net.residual);
-    const unsigned out_layer = std::min(arch_layer + 1, net.layers);
-    ctx.outSparsity = modeledLayerSparsity(dataset.spec, out_layer,
-                                           net.layers, net.residual);
-
-    // The global masks (same keys as the monolithic path, so every
-    // chip and every personality share one copy), sliced to this
-    // chip's rows: the input covers owned + halo, the output covers
-    // owned rows only (the tail stays zero — the chip never writes
-    // halo outputs).
-    auto &artifacts = StreamArtifactCache::instance();
-    const VertexId n = partition.numVertices();
-    const auto in_global = artifacts.randomMask(
-        n, ctx.inWidth, ctx.inSparsity,
-        maskSeed(dataset.spec, arch_layer));
-    const auto out_global = artifacts.randomMask(
-        n, ctx.outWidth, ctx.outSparsity,
-        maskSeed(dataset.spec, arch_layer + 1));
-    const auto in_mask = artifacts.chipMask(in_global, partition, chip,
-                                            /*include_halo=*/true);
-    const auto out_mask = artifacts.chipMask(out_global, partition,
-                                             chip,
-                                             /*include_halo=*/false);
-    ctx.inMask = in_mask.mask;
-    ctx.outMask = out_mask.mask;
-
-    const double expected_density =
-        1.0 - modeledAvgSparsity(dataset.spec, net.layers,
-                                 net.residual);
-    ctx.inLayout = artifacts.preparedLayout(
-        config.format, ctx.inWidth, config.sliceC, expected_density,
-        AddressMap::kFeatureInBase, in_mask);
-    ctx.outLayout = artifacts.preparedLayout(
-        config.format, ctx.outWidth, config.sliceC, expected_density,
-        AddressMap::kFeatureOutBase, out_mask);
-    return ctx;
+    return makeLayer(dataset, partition, chip, config, net, arch_layer);
 }
 
 LayerContext
@@ -210,52 +137,24 @@ makeChipInputLayer(const Dataset &dataset,
                    const GraphPartition &partition, unsigned chip,
                    const AccelConfig &config, const NetworkSpec &net)
 {
-    const ChipShard &shard = partition.shard(chip);
+    return makeLayer(dataset, partition, chip, config, net, 0);
+}
 
-    LayerContext ctx;
-    fillChipCommon(ctx, shard, net);
-    ctx.isInputLayer = true;
-    ctx.inWidth = dataset.inputWidth;
-    ctx.outWidth = net.hidden;
-    ctx.inSparsity = dataset.spec.inputSparsity;
-    ctx.outSparsity = modeledLayerSparsity(dataset.spec, 1, net.layers,
-                                           net.residual);
+LayerContext
+makeIntermediateLayer(const Dataset &dataset, const CsrGraph &graph,
+                      const AccelConfig &config, const NetworkSpec &net,
+                      unsigned arch_layer)
+{
+    return makeChipIntermediateLayer(dataset, *wholeGraph(graph), 0,
+                                     config, net, arch_layer);
+}
 
-    auto &artifacts = StreamArtifactCache::instance();
-    const VertexId n = partition.numVertices();
-    StreamArtifactCache::MaskHandle in_global;
-    if (dataset.spec.oneHotInput) {
-        in_global = artifacts.oneHotMask(n, ctx.inWidth,
-                                         maskSeed(dataset.spec, 0));
-        ctx.inSparsity = in_global->sparsity();
-    } else {
-        in_global = artifacts.randomMask(n, ctx.inWidth,
-                                         ctx.inSparsity,
-                                         maskSeed(dataset.spec, 0));
-    }
-    const auto out_global = artifacts.randomMask(
-        n, ctx.outWidth, ctx.outSparsity, maskSeed(dataset.spec, 1));
-    const auto in_mask = artifacts.chipMask(in_global, partition, chip,
-                                            /*include_halo=*/true);
-    const auto out_mask = artifacts.chipMask(out_global, partition,
-                                             chip,
-                                             /*include_halo=*/false);
-    ctx.inMask = in_mask.mask;
-    ctx.outMask = out_mask.mask;
-
-    // Format decision keys on the *global* input sparsity, matching
-    // the monolithic path, so every chip agrees on the layout kind.
-    const bool sparse_input =
-        config.firstLayerSparseInput && ctx.inSparsity > 0.90;
-    const FormatKind in_format =
-        sparse_input ? FormatKind::Csr : FormatKind::Dense;
-    ctx.inLayout = artifacts.preparedLayout(
-        in_format, ctx.inWidth, config.sliceC, 0.5,
-        AddressMap::kFeatureInBase, in_mask);
-    ctx.outLayout = artifacts.preparedLayout(
-        config.format, ctx.outWidth, config.sliceC, 0.5,
-        AddressMap::kFeatureOutBase, out_mask);
-    return ctx;
+LayerContext
+makeInputLayer(const Dataset &dataset, const CsrGraph &graph,
+               const AccelConfig &config, const NetworkSpec &net)
+{
+    return makeChipInputLayer(dataset, *wholeGraph(graph), 0, config,
+                              net);
 }
 
 } // namespace sgcn

@@ -37,8 +37,9 @@ struct AddressMap
 /** Everything a layer simulation needs. */
 struct LayerContext
 {
-    /** The (possibly reordered) topology: the canonical shared
-     *  instance from the stream-artifact cache. */
+    /** The topology this engine runs: its chip shard's subgraph,
+     *  shared through the stream-artifact cache (on a one-chip run,
+     *  a copy of the whole, possibly reordered, graph). */
     const CsrGraph *graph = nullptr;
 
     /** Co-owner of *graph (null only for hand-built fixtures). */
@@ -80,19 +81,24 @@ struct LayerContext
      *  reduces the edges actually walked). */
     double edgeSampleFraction = 1.0;
 
-    /** Rows this engine owns the *output* of: 0 means all (the
-     *  monolithic path). On a chip shard the first ownedRows rows are
-     *  owned destinations and the tail rows are halo sources the chip
-     *  reads but never writes — output-side streams (drain, residual,
-     *  combination of aggregated rows) clamp to this. */
+    /** Rows this engine owns the *output* of: 0 means all (for
+     *  hand-built fixtures; the builders set the shard's count, which
+     *  is every row on a one-chip run). On a chip shard the first
+     *  ownedRows rows are owned destinations and the tail rows are
+     *  halo sources the chip reads but never writes — output-side
+     *  streams (drain, residual, combination of aggregated rows)
+     *  clamp to this. */
     VertexId ownedRows = 0;
 };
 
 /**
- * Build the context of one intermediate layer.
+ * Build the context of one intermediate layer on the whole graph:
+ * chip 0 of the one-chip partition of @p graph, the context
+ * runNetwork builds at chips=1.
  *
- * @param dataset the instantiated dataset (graph may be reordered
- *        by the caller for I-GCN)
+ * @param dataset the instantiated dataset
+ * @param graph the topology to run (the dataset's, or its I-GCN
+ *        islandized reordering)
  * @param config accelerator personality (chooses formats)
  * @param net network architecture
  * @param arch_layer 1-based index of the intermediate feature matrix
@@ -104,14 +110,15 @@ LayerContext makeIntermediateLayer(const Dataset &dataset,
                                    const NetworkSpec &net,
                                    unsigned arch_layer);
 
-/** Build the input-layer context (X^0: dataset features). */
+/** Build the input-layer context (X^0: dataset features) on the
+ *  whole graph, as makeIntermediateLayer does. */
 LayerContext makeInputLayer(const Dataset &dataset,
                             const CsrGraph &graph,
                             const AccelConfig &config,
                             const NetworkSpec &net);
 
 /**
- * Chip-local variant of makeIntermediateLayer for sharded runs: the
+ * makeIntermediateLayer for chip @p chip of @p partition: the
  * shard's renumbered subgraph, the *global* layer masks sliced to
  * (owned + halo) rows bit-exactly, and ownedRows set so output-side
  * streams stop at the chip boundary. Masks and layouts resolve
@@ -125,7 +132,7 @@ LayerContext makeChipIntermediateLayer(const Dataset &dataset,
                                        const NetworkSpec &net,
                                        unsigned arch_layer);
 
-/** Chip-local variant of makeInputLayer. */
+/** makeInputLayer for chip @p chip of @p partition. */
 LayerContext makeChipInputLayer(const Dataset &dataset,
                                 const GraphPartition &partition,
                                 unsigned chip,

@@ -18,7 +18,8 @@
  *    slicing without unaligned access overhead.
  *
  * The split-bitmap variant stores bitmaps in a separate array; it
- * exists to ablate the "embedded" design choice (DESIGN.md SS7).
+ * exists to ablate the "embedded" design choice
+ * (bench/ablation_substrate.cc).
  */
 
 #ifndef SGCN_CORE_BEICSR_HH

@@ -2,8 +2,11 @@
  * @file
  * Calibrated intermediate-feature sparsity model.
  *
- * Substitutes for the paper's trained 28-layer checkpoints (see
- * DESIGN.md SS2). Calibration anchors:
+ * Substitutes for the paper's trained 28-layer checkpoints, which are
+ * not shipped: the accelerator models read only each layer's
+ * non-zero structure, so masks drawn at sparsities calibrated to the
+ * paper's published figures drive the same access streams.
+ * Calibration anchors:
  *  - Table II: per-dataset average sparsity of the 28-layer
  *    residual network (40-71%).
  *  - Fig. 1: sparsity rises with depth for residual networks
@@ -54,9 +57,10 @@ std::vector<double> sparsityProfile(const DatasetSpec &dataset,
 
 /**
  * When a timing run simulates fewer layers than the architectural
- * network (scale policy, DESIGN.md SS6), pick @p simulated layer
- * indices spread over the @p architectural-layer profile so the
- * sampled sparsity statistics match the full network.
+ * network (so a 28-layer run costs a handful of layer simulations),
+ * pick @p simulated layer indices spread over the
+ * @p architectural-layer profile so the sampled sparsity statistics
+ * match the full network.
  */
 std::vector<unsigned> sampleLayerIndices(unsigned architectural,
                                          unsigned simulated);

@@ -197,7 +197,7 @@ instantiateDataset(const DatasetSpec &spec, double scale,
     // Community width is an absolute property of the full graph, so
     // it must not shrink with the vertex cap — otherwise every
     // dataset's reuse window would fit the cache and the cache
-    // behaviour the paper measures would vanish (DESIGN.md SS6).
+    // behaviour the paper measures would vanish.
     params.localityDistance = std::clamp(
         spec.localityDistanceFraction *
             static_cast<double>(spec.fullVertices),

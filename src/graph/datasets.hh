@@ -6,10 +6,12 @@
  * described by the statistics that determine accelerator behaviour
  * (vertex/edge counts, input feature width and sparsity, trained
  * 28-layer intermediate feature sparsity, community locality, degree
- * skew) and instantiated with the clustered generator. DESIGN.md SS2
- * documents why this substitution preserves the paper's evaluation
- * shape. Vertex counts are capped for simulation scale; the cap
- * rises with the --scale flag.
+ * skew) and instantiated with the clustered generator. These are the
+ * statistics the accelerator models read (aggregation work follows
+ * the degrees, cache reuse the community locality, feature traffic
+ * the widths and sparsities), so matching them preserves the paper's
+ * evaluation shape. Vertex counts are capped for simulation scale;
+ * the cap rises with the --scale flag.
  */
 
 #ifndef SGCN_GRAPH_DATASETS_HH

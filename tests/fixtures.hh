@@ -69,7 +69,36 @@ expectCountsIdentical(const LayerResult &a, const LayerResult &b)
     EXPECT_EQ(a.macs, b.macs);
 }
 
-/** Every layer quantity — counts and cycles — is bit-identical. */
+/** Two phase spans cover the same cycles. */
+inline void
+expectSpanIdentical(const PhaseSpan &a, const PhaseSpan &b)
+{
+    EXPECT_EQ(a.start, b.start);
+    EXPECT_EQ(a.end, b.end);
+}
+
+/** Two layer schedules are bit-identical: the four phase spans, the
+ *  streaming flag and every tile span the pipeline chains. */
+inline void
+expectScheduleIdentical(const LayerSchedule &a, const LayerSchedule &b)
+{
+    expectSpanIdentical(a.inputDma, b.inputDma);
+    expectSpanIdentical(a.aggregation, b.aggregation);
+    expectSpanIdentical(a.combination, b.combination);
+    expectSpanIdentical(a.outputDrain, b.outputDrain);
+    EXPECT_EQ(a.sequentialInput, b.sequentialInput);
+    ASSERT_EQ(a.tileSpans.size(), b.tileSpans.size());
+    for (std::size_t t = 0; t < a.tileSpans.size(); ++t) {
+        EXPECT_EQ(a.tileSpans[t].tile, b.tileSpans[t].tile);
+        expectSpanIdentical(a.tileSpans[t].inputConsume,
+                            b.tileSpans[t].inputConsume);
+        EXPECT_EQ(a.tileSpans[t].outputReady,
+                  b.tileSpans[t].outputReady);
+    }
+}
+
+/** Every layer quantity — counts, cycles and the schedule — is
+ *  bit-identical. */
 inline void
 expectLayerIdentical(const LayerResult &a, const LayerResult &b)
 {
@@ -77,9 +106,11 @@ expectLayerIdentical(const LayerResult &a, const LayerResult &b)
     EXPECT_EQ(a.aggCycles, b.aggCycles);
     EXPECT_EQ(a.combCycles, b.combCycles);
     expectCountsIdentical(a, b);
+    EXPECT_EQ(a.dramRetries, b.dramRetries);
     // Doubles compare exactly: identical inputs through identical
     // arithmetic must give identical bits, threads or not.
     EXPECT_EQ(a.bwUtil, b.bwUtil);
+    expectScheduleIdentical(a.schedule, b.schedule);
 }
 
 /** Whole runs are bit-identical, layer by layer. */

@@ -32,6 +32,7 @@ namespace
 {
 
 using testfx::expectCountsIdentical;
+using testfx::expectLayerIdentical;
 using testfx::expectRunIdentical;
 
 FaultPlan
@@ -375,6 +376,40 @@ TEST_F(FaultRuns, RepartitionRenumbersSurvivorExports)
     EXPECT_TRUE(saw_recovered_row);
 }
 
+TEST_F(FaultRuns, LoneSurvivorLayersAreTheOneChipLayers)
+{
+    // Two chips, chip 1 dies: past its recovered layer the survivor
+    // runs the one-chip partition behind a free exchange, so the
+    // compose hands its layer back unchanged, per-layer bandwidth
+    // utilization included, exactly as in a one-chip run.
+    const Dataset cora = testfx::cora();
+    for (ExecutionMode mode :
+         {ExecutionMode::Fast, ExecutionMode::Timing}) {
+        RunOptions faulted = opts;
+        faulted.mode = mode;
+        faulted.chips = 2;
+        faulted.faults = plan("chip-fail:chip1@layer1");
+        faulted.degradedMode = DegradedMode::Repartition;
+        RunOptions one_chip = opts;
+        one_chip.mode = mode;
+        one_chip.chips = 1;
+        const RunResult run = runNetwork(makeSgcn(), cora, net, faulted);
+        const RunResult lone =
+            runNetwork(makeSgcn(), cora, net, one_chip);
+
+        ASSERT_EQ(run.sampledLayers.size(), 2u);
+        ASSERT_EQ(run.faults.recoveredLayers.size(), 1u);
+        EXPECT_EQ(run.faults.survivingChips, 1u);
+        // The recovered layer still pays its recovery up front ...
+        EXPECT_GT(run.sampledLayers[0].cycles,
+                  lone.sampledLayers[0].cycles);
+        // ... and the next one is the survivor's own layer.
+        EXPECT_GT(run.sampledLayers[1].bwUtil, 0.0);
+        expectLayerIdentical(run.sampledLayers[1],
+                             lone.sampledLayers[1]);
+    }
+}
+
 TEST_F(FaultRuns, FailFastSurfacesATypedChipFailure)
 {
     const Dataset cora = testfx::cora();
@@ -396,6 +431,16 @@ TEST_F(FaultRuns, InvalidPlanForTheRunShapeIsATypedError)
     faulted.faults = plan("link-degrade:chip1:0.5");
     Expected<RunResult> run =
         tryRunNetwork(makeSgcn(), cora, net, faulted);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.error().code, ErrorCode::InvalidArgument);
+}
+
+TEST_F(FaultRuns, ZeroChipsIsATypedError)
+{
+    RunOptions none = opts;
+    none.chips = 0;
+    Expected<RunResult> run =
+        tryRunNetwork(makeSgcn(), testfx::cora(), net, none);
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.error().code, ErrorCode::InvalidArgument);
 }

@@ -153,16 +153,21 @@ TEST_F(PartitionTest, EdgeBalancedBeatsContiguousOnSkew)
 
 TEST_F(PartitionTest, SingleChipIsTheWholeGraph)
 {
-    const GraphPartition partition(parent, 1,
-                                   PartitionPolicy::EdgeBalanced);
-    const ChipShard &shard = partition.shard(0);
-    EXPECT_EQ(shard.begin, 0u);
-    EXPECT_EQ(shard.end, parent.numVertices());
-    EXPECT_TRUE(shard.halo.empty());
-    EXPECT_EQ(shard.ownedEdges, parent.numEdges());
-    EXPECT_EQ(shard.graph->numVertices(), parent.numVertices());
-    EXPECT_EQ(shard.graph->numEdgesNoSelfLoops(),
-              parent.numEdgesNoSelfLoops());
+    for (PartitionPolicy policy : {PartitionPolicy::Contiguous,
+                                   PartitionPolicy::EdgeBalanced}) {
+        const GraphPartition partition(parent, 1, policy);
+        const ChipShard &shard = partition.shard(0);
+        EXPECT_EQ(shard.begin, 0u);
+        EXPECT_EQ(shard.end, parent.numVertices());
+        EXPECT_TRUE(shard.halo.empty());
+        EXPECT_EQ(shard.ownedEdges, parent.numEdges());
+        EXPECT_EQ(shard.graph->numVertices(), parent.numVertices());
+        EXPECT_EQ(shard.graph->numEdgesNoSelfLoops(),
+                  parent.numEdgesNoSelfLoops());
+        // The lone shard is the parent's topology itself.
+        EXPECT_EQ(shard.graph->contentFingerprint(),
+                  parent.contentFingerprint());
+    }
 }
 
 TEST_F(PartitionTest, PolicyByNameRoundTrips)

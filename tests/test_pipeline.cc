@@ -34,7 +34,7 @@ namespace
 using testfx::expectCountsIdentical;
 
 /** The serial extrapolation recomputed from the per-layer results,
- *  mirroring runNetwork's documented DESIGN.md SS6 arithmetic. */
+ *  mirroring runNetwork's depth extrapolation (runner.hh). */
 Cycle
 serialTotalCycles(const RunResult &run, unsigned arch_intermediate)
 {

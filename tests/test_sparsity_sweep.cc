@@ -162,7 +162,7 @@ TEST(SparsitySweepExtra, ParallelSweepMatchesSerialSweep)
 TEST(SparsitySweepExtra, SamplingMoreLayersConverges)
 {
     // Extrapolated totals from 4 vs 8 sampled layers agree within a
-    // few percent — the stratified sampling claim (DESIGN.md SS6).
+    // few percent — the stratified sampling claim of runner.hh.
     Dataset cora = instantiateDataset(datasetByAbbrev("CR"), 0.08);
     NetworkSpec net;
     RunOptions coarse;

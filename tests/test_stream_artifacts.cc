@@ -253,6 +253,33 @@ TEST(StreamArtifacts, KeySeparation)
               artifacts.sageEdgeFraction(a, 2));
 }
 
+TEST(StreamArtifacts, OneChipPartitionSharesTheGlobalMasks)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    clearSweepArtifacts();
+    const CsrGraph graph = testGraph(3);
+
+    const auto whole =
+        artifacts.partition(graph, 1, PartitionPolicy::EdgeBalanced);
+
+    // The lone shard's slice is the parent handle, not a gathered
+    // copy, so a one-chip run holds one copy of every mask.
+    const auto mask =
+        artifacts.randomMask(graph.numVertices(), 64, 0.6, 11);
+    for (bool include_halo : {true, false}) {
+        const auto slice =
+            artifacts.chipMask(mask, *whole, 0, include_halo);
+        EXPECT_EQ(slice.mask.get(), mask.mask.get());
+        EXPECT_EQ(slice.key, mask.key);
+    }
+
+    // A real shard still gathers its own rows.
+    const auto halves =
+        artifacts.partition(graph, 2, PartitionPolicy::EdgeBalanced);
+    EXPECT_NE(artifacts.chipMask(mask, *halves, 0, true).mask.get(),
+              mask.mask.get());
+}
+
 TEST(StreamArtifacts, ReleaseArtifactsClearsBothCaches)
 {
     const Dataset dataset =
