@@ -15,8 +15,8 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options =
+        parseFlagsOrExit(Cli(argc, argv), {.groups = kHarnessFlags});
     banner("substrate ablations beyond Fig. 12", options);
 
     const char *abbrevs[] = {"CR", "PM", "RD"};

@@ -2,43 +2,23 @@
  * @file
  * Shared helpers for the figure/table regeneration harnesses.
  *
- * Every bench accepts:
- *   --mode fast|timing   execution mode (default fast)
- *   --layers N           architectural depth (default 28)
- *   --sampled N          simulated intermediate layers (default 4)
- *   --scale X            workload scale factor (or SGCN_BENCH_SCALE)
- *   --datasets CR,CS,... subset of datasets
- *   --jobs N             sweep worker threads (default: all hardware
- *                        threads; 1 restores the serial path)
- *   --pipeline[=layer|tile]
- *                        inter-layer overlapped totals (default off;
- *                        serial isolated-layer extrapolation). =tile
- *                        gates consumers on per-tile output
- *                        availability instead of whole-layer drains.
- *   --chips N            shard each run over N >= 1 chips (default
- *                        1: the whole graph on one accelerator)
- *   --partition contiguous|edge-balanced
- *                        multi-chip vertex partitioner policy
- *   --link pcie4|noc     interconnect preset for halo exchanges
- *   --faults SPEC        deterministic fault plan (see FaultPlan);
- *                        the banner echoes the canonical spec so any
- *                        run can be replayed exactly
- *   --degraded-mode repartition|fail-fast
- *                        chip-fail reaction (default repartition)
+ * Every harness reads its flags through parseFlagsOrExit, whose table
+ * in src/cli/flags.cc lists each flag with its group, type and
+ * minimum: the run and scale groups, the dataset group
+ * (--datasets CR,CS,...) unless the harness fixes its own datasets,
+ * and fig21's serve group. Any other flag exits 2 with the accepted
+ * list, a bad value exits 1, both before a dataset is built.
  */
 
 #ifndef SGCN_BENCH_BENCH_COMMON_HH
 #define SGCN_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "accel/personalities.hh"
-#include "accel/runner.hh"
-#include "serve/serve.hh"
-#include "sim/cli.hh"
+#include "cli/flags.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
@@ -47,89 +27,8 @@
 namespace sgcn::bench
 {
 
-/** Options shared by every harness. */
-struct BenchOptions
-{
-    RunOptions run;
-    NetworkSpec net;
-    double scale = 1.0;
-    std::vector<DatasetSpec> datasets;
-
-    static BenchOptions
-    fromCli(const Cli &cli)
-    {
-        BenchOptions options;
-        options.run.mode = cli.getString("mode", "fast") == "timing"
-                               ? ExecutionMode::Timing
-                               : ExecutionMode::Fast;
-        options.run.sampledIntermediateLayers =
-            static_cast<unsigned>(cli.getInt("sampled", 4));
-        options.net.layers =
-            static_cast<unsigned>(cli.getInt("layers", 28));
-        options.run.jobs = static_cast<unsigned>(
-            cli.getInt("jobs", ThreadPool::hardwareJobs()));
-        applyPipelineFlag(options.run, cli.has("pipeline"),
-                          cli.getString("pipeline", ""));
-        options.run.chips =
-            static_cast<unsigned>(cli.getInt("chips", 1));
-        options.run.partitionPolicy = partitionPolicyByName(
-            cli.getString("partition",
-                          partitionPolicyName(
-                              options.run.partitionPolicy)));
-        if (cli.has("link")) {
-            options.run.link =
-                linkByName(cli.getString("link", "pcie4"));
-        }
-        options.run.faults =
-            FaultPlan::parse(cli.getString("faults", "")).orFatal();
-        options.run.degradedMode =
-            parseDegradedMode(
-                cli.getString("degraded-mode",
-                              degradedModeName(options.run.degradedMode)))
-                .orFatal();
-        options.scale = cli.scale();
-
-        const std::string list = cli.getString("datasets", "");
-        if (list.empty()) {
-            options.datasets = datasetsBySparsity();
-        } else {
-            std::stringstream stream(list);
-            std::string abbrev;
-            while (std::getline(stream, abbrev, ','))
-                options.datasets.push_back(datasetByAbbrev(abbrev));
-        }
-        return options;
-    }
-};
-
-/** ServeOptions from the shared serving flags (--rate, --requests,
- *  --batch-max, --linger, --arrival poisson|fixed, --hops, --fanout,
- *  --serve-seed), defaulting like `sgcn_sim serve`. */
-inline ServeOptions
-serveOptionsFromCli(const Cli &cli)
-{
-    ServeOptions serve;
-    serve.offeredQps = cli.getDouble("rate", serve.offeredQps);
-    serve.requests = static_cast<unsigned>(
-        cli.getInt("requests", serve.requests));
-    serve.maxBatch = static_cast<unsigned>(
-        cli.getInt("batch-max", serve.maxBatch));
-    serve.maxLingerCycles = static_cast<Cycle>(cli.getInt(
-        "linger", static_cast<std::int64_t>(serve.maxLingerCycles)));
-    serve.sample.hops = static_cast<unsigned>(
-        cli.getInt("hops", serve.sample.hops));
-    serve.sample.fanout = static_cast<unsigned>(
-        cli.getInt("fanout", serve.sample.fanout));
-    serve.sample.seed = static_cast<std::uint64_t>(cli.getInt(
-        "serve-seed", static_cast<std::int64_t>(serve.sample.seed)));
-    const std::string arrival = cli.getString("arrival", "poisson");
-    if (arrival == "fixed")
-        serve.poisson = false;
-    else if (arrival != "poisson")
-        fatal("bad --arrival '", arrival,
-              "' (expected poisson|fixed)");
-    return serve;
-}
+/** The groups every harness takes. */
+constexpr unsigned kHarnessFlags = kRunFlags | kScaleFlag;
 
 /** Print the standard harness banner. */
 inline void

@@ -18,8 +18,8 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options =
+        parseFlagsOrExit(Cli(argc, argv), {.groups = kHarnessFlags});
     banner("Fig. 1 — sparsity vs number of layers", options);
 
     const unsigned depths[] = {1,  2,  3,   5,   7,   14,  28,

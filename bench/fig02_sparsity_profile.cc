@@ -17,8 +17,8 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options =
+        parseFlagsOrExit(Cli(argc, argv), {.groups = kHarnessFlags});
     banner("Fig. 2 — residual effect and per-layer profile", options);
 
     Table fig2a("Fig. 2a: average sparsity (%), traditional vs "

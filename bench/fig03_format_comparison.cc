@@ -31,8 +31,9 @@ struct Variant
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv), {.groups = kHarnessFlags | kDatasetFlags,
+                          .datasets = datasetsBySparsity()});
     banner("Fig. 3 — sparse format comparison", options);
 
     const Variant variants[] = {

@@ -22,9 +22,12 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
-    const bool compare = cli.getBool("pipeline-compare", false);
+    const Cli cli(argc, argv);
+    BenchOptions options = parseFlagsOrExit(
+        cli, {.groups = kHarnessFlags | kDatasetFlags,
+              .datasets = datasetsBySparsity(),
+              .extras = {"pipeline-compare"}});
+    const bool compare = cli.getBool("pipeline-compare", false).orFatal();
     if (compare) {
         // The comparison needs the pipelined timeline; per-tile mode
         // carries the whole serial/per-layer/per-tile triple.

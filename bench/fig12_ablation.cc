@@ -16,8 +16,9 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv), {.groups = kHarnessFlags | kDatasetFlags,
+                          .datasets = datasetsBySparsity()});
     banner("Fig. 12 — ablation study", options);
 
     // "The non-sliced version of BEICSR is already enough to exploit

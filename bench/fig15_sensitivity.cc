@@ -16,8 +16,8 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options =
+        parseFlagsOrExit(Cli(argc, argv), {.groups = kHarnessFlags});
     banner("Fig. 15 — layer-count and cache-size sensitivity",
            options);
 

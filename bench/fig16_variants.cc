@@ -18,8 +18,9 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv), {.groups = kHarnessFlags | kDatasetFlags,
+                          .datasets = datasetsBySparsity()});
     banner("Fig. 16 — GINConv and GraphSAGE", options);
 
     const auto personalities = allPersonalities();

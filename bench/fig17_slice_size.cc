@@ -17,8 +17,9 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv), {.groups = kHarnessFlags | kDatasetFlags,
+                          .datasets = datasetsBySparsity()});
     banner("Fig. 17 — unit slice size sensitivity", options);
 
     const std::uint32_t sizes[] = {32, 64, 96, 128, 256};

@@ -13,7 +13,7 @@
  * the halo-exchange volume and link occupancy that bound it.
  *
  * --datasets CR,CS,... sweeps several datasets (one table each);
- * the legacy single --dataset flag still works and defaults to RD.
+ * the default is RD, the paper's figure subject.
  */
 
 #include "bench_common.hh"
@@ -121,20 +121,12 @@ engineSweep(const DatasetSpec &spec, const BenchOptions &options)
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv), {.groups = kHarnessFlags | kDatasetFlags,
+                          .datasets = {datasetByAbbrev("RD")}});
     banner("Fig. 18 — engine scalability and memory type", options);
 
-    // --datasets sweeps several; the legacy single --dataset flag
-    // (default RD, the paper's figure subject) still works.
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "RD"))};
-    }
-
-    for (const DatasetSpec &spec : specs) {
+    for (const DatasetSpec &spec : options.datasets) {
         if (options.run.chips > 1)
             chipSweep(spec, options);
         else

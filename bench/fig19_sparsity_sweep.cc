@@ -70,19 +70,14 @@ syntheticLayer(const AccelConfig &config, const Dataset &dataset,
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
-    banner("Fig. 19 — synthetic sparsity sweep", options);
-
     // Geomean over a few structurally distinct datasets by default;
     // --datasets narrows or widens the set like the other harnesses.
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        for (const char *abbrev : {"CR", "PM", "GH"})
-            specs.push_back(datasetByAbbrev(abbrev));
-    }
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kHarnessFlags | kDatasetFlags,
+         .datasets = {datasetByAbbrev("CR"), datasetByAbbrev("PM"),
+                      datasetByAbbrev("GH")}});
+    banner("Fig. 19 — synthetic sparsity sweep", options);
 
     AccelConfig dense = makeSgcn();
     dense.name = "Dense";
@@ -105,7 +100,7 @@ main(int argc, char **argv)
     for (int pct = 5; pct <= 95; pct += 10)
         pcts.push_back(pct);
     std::vector<Dataset> datasets;
-    for (const DatasetSpec &spec : specs) {
+    for (const DatasetSpec &spec : options.datasets) {
         datasets.push_back(instantiateDataset(spec, options.scale));
         graphLine(datasets.back());
     }

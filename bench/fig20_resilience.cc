@@ -159,30 +159,27 @@ replayPlan(const Dataset &dataset, const BenchOptions &options,
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const Cli cli(argc, argv);
+    BenchOptions options = parseFlagsOrExit(
+        cli, {.groups = kHarnessFlags | kDatasetFlags,
+              .datasets = {datasetByAbbrev("CR")}});
     // Chip-targeted faults need a sharded run.
     if (options.run.chips < 2)
         options.run.chips = 4;
     banner("Fig. 20 — fault injection and graceful degradation",
            options);
 
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "CR"))};
-    }
-
     const std::vector<AccelConfig> configs = allPersonalities();
     const bool replay = options.run.faults.active();
+    // An explicit --link (its value already checked) narrows the
+    // sweep to that preset.
     const std::vector<LinkConfig> links =
         cli.has("link") || replay
             ? std::vector<LinkConfig>{options.run.link}
             : std::vector<LinkConfig>{LinkConfig::pcie4(),
                                       LinkConfig::noc()};
 
-    for (const DatasetSpec &spec : specs) {
+    for (const DatasetSpec &spec : options.datasets) {
         const Dataset dataset = instantiateDataset(spec, options.scale);
         graphLine(dataset);
         for (const LinkConfig &link : links) {

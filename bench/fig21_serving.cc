@@ -20,9 +20,9 @@
  * With an explicit --faults SPEC the harness replays exactly that
  * plan instead of the default degrade comparison.
  *
- * Shares the bench_common flags plus the serving flags (--rate,
+ * Takes the bench_common flags plus the serve group (--rate,
  * --requests, --batch-max, --linger, --arrival, --hops, --fanout,
- * --serve-seed).
+ * --serve-seed), defaulting like `sgcn_sim serve`.
  */
 
 #include "accel/report.hh"
@@ -146,9 +146,11 @@ faultTail(const Dataset &dataset, const BenchOptions &options,
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const BenchOptions options = BenchOptions::fromCli(cli);
-    const ServeOptions serve = serveOptionsFromCli(cli);
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kHarnessFlags | kDatasetFlags | kServeFlags,
+         .datasets = {datasetByAbbrev("CR")}});
+    const ServeOptions &serve = options.serve;
     banner("Fig. 21 — serving-trace latency under load", options);
     std::printf("trace: %u requests, %s arrivals @ %.0f qps, "
                 "batch<=%u, linger %llu cycles, %u-hop fanout %u, "
@@ -160,18 +162,11 @@ main(int argc, char **argv)
                 serve.sample.hops, serve.sample.fanout,
                 static_cast<unsigned long long>(serve.sample.seed));
 
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "CR"))};
-    }
-
     const std::vector<AccelConfig> configs = allPersonalities();
     const std::size_t sgcn = personalityIndex(configs, "SGCN");
     const bool replay = options.run.faults.active();
 
-    for (const DatasetSpec &spec : specs) {
+    for (const DatasetSpec &spec : options.datasets) {
         const Dataset dataset =
             instantiateDataset(spec, options.scale);
         graphLine(dataset);

@@ -12,8 +12,8 @@ using namespace sgcn::bench;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    const BenchOptions options =
+        parseFlagsOrExit(Cli(argc, argv), {.groups = kHarnessFlags});
     banner("Table II — benchmark dataset information", options);
 
     Table table("Table II: paper statistics vs instantiated stand-ins");

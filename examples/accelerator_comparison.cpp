@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "accel/personalities.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "cli/flags.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -20,19 +19,15 @@ using namespace sgcn;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const std::string abbrev = cli.getString("dataset", "DB");
-    NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
-    RunOptions opts;
-    opts.mode = cli.getString("mode", "fast") == "timing"
-                    ? ExecutionMode::Timing
-                    : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kRunFlags | kScaleFlag | kDatasetFlags,
+         .datasets = {datasetByAbbrev("DB")},
+         .oneDataset = true});
+    const NetworkSpec &net = options.net;
 
     const Dataset dataset =
-        instantiateDataset(datasetByAbbrev(abbrev), cli.scale());
+        instantiateDataset(options.datasets.front(), options.scale);
     std::printf("dataset %s: %u vertices, %llu edges, %u-layer "
                 "residual GCN\n\n",
                 dataset.spec.name, dataset.graph.numVertices(),
@@ -41,14 +36,15 @@ main(int argc, char **argv)
                 net.layers);
 
     const auto results =
-        runAll(allPersonalities(), dataset, net, opts);
+        runAll(allPersonalities(), dataset, net, options.run);
     const RunResult *baseline = nullptr;
     for (const auto &run : results) {
         if (run.accelName == "GCNAX")
             baseline = &run;
     }
 
-    Table table("accelerator comparison on " + abbrev);
+    Table table("accelerator comparison on " +
+                std::string(dataset.spec.abbrev));
     table.header({"accel", "cycles(M)", "speedup", "offchip MB",
                   "topo%", "featIn%", "featOut%", "psum%", "hit rate",
                   "GMACs", "energy mJ", "TDP W", "area mm2"});

@@ -15,8 +15,7 @@
 
 #include "accel/personalities.hh"
 #include "accel/report.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "cli/flags.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -60,22 +59,21 @@ makeSgcnXl()
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const std::string abbrev = cli.getString("dataset", "FK");
-    NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
-    RunOptions opts;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kRunFlags | kScaleFlag | kDatasetFlags,
+         .datasets = {datasetByAbbrev("FK")},
+         .oneDataset = true});
 
     const Dataset dataset =
-        instantiateDataset(datasetByAbbrev(abbrev), cli.scale());
+        instantiateDataset(options.datasets.front(), options.scale);
     std::printf("design-space exploration on %s (%u vertices)\n\n",
                 dataset.spec.name, dataset.graph.numVertices());
 
     std::vector<AccelConfig> configs = {makeGcnax(), makeSgcn(),
                                         makeSgcnLite(), makeSgcnXl()};
-    const auto results = runAll(configs, dataset, net, opts);
+    const auto results =
+        runAll(configs, dataset, options.net, options.run);
     const RunResult &baseline = results.front();
 
     Table table("custom designs vs stock (energy from the shared "

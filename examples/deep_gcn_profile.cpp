@@ -14,7 +14,7 @@
 #include "accel/layer_engine.hh"
 #include "accel/personalities.hh"
 #include "accel/workload.hh"
-#include "sim/cli.hh"
+#include "cli/flags.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -22,17 +22,16 @@ using namespace sgcn;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const std::string abbrev = cli.getString("dataset", "PM");
-    NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
-    const ExecutionMode mode =
-        cli.getString("mode", "fast") == "timing"
-            ? ExecutionMode::Timing
-            : ExecutionMode::Fast;
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kRunFlags | kScaleFlag | kDatasetFlags,
+         .datasets = {datasetByAbbrev("PM")},
+         .oneDataset = true});
+    const NetworkSpec &net = options.net;
+    const ExecutionMode mode = options.run.mode;
 
     const Dataset dataset =
-        instantiateDataset(datasetByAbbrev(abbrev), cli.scale());
+        instantiateDataset(options.datasets.front(), options.scale);
     const AccelConfig sgcn = makeSgcn();
     const AccelConfig gcnax = makeGcnax();
 

@@ -14,8 +14,8 @@
 #include "core/beicsr.hh"
 #include "core/compressor.hh"
 #include "core/sparse_aggregator.hh"
+#include "cli/flags.hh"
 #include "gcn/feature_matrix.hh"
-#include "sim/cli.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -23,14 +23,14 @@ using namespace sgcn;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const double sparsity = cli.getDouble("sparsity", 0.6);
-    const auto width =
-        static_cast<std::uint32_t>(cli.getInt("width", 256));
-    const auto rows =
-        static_cast<std::uint32_t>(cli.getInt("rows", 512));
-    const auto slice =
-        static_cast<std::uint32_t>(cli.getInt("slice", 96));
+    const Cli cli(argc, argv);
+    parseFlagsOrExit(cli, {.extras = {"sparsity", "width", "rows", "slice"}});
+    const double sparsity = cli.getDouble("sparsity", 0.6).orFatal();
+    if (sparsity < 0.0 || sparsity > 1.0)
+        fatal("--sparsity: ", sparsity, " is outside [0, 1]");
+    const std::uint32_t width = countFlag(cli, "width", 256, 1).orFatal();
+    const std::uint32_t rows = countFlag(cli, "rows", 512, 1).orFatal();
+    const std::uint32_t slice = countFlag(cli, "slice", 96, 0).orFatal();
 
     Rng rng(2026);
     const FeatureMask mask =

@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "accel/personalities.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "cli/flags.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -19,15 +18,15 @@ using namespace sgcn;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const std::string abbrev = cli.getString("dataset", "CR");
-    const auto layers =
-        static_cast<unsigned>(cli.getInt("layers", 28));
-    const bool timing = cli.getString("mode", "fast") == "timing";
+    const BenchOptions options = parseFlagsOrExit(
+        Cli(argc, argv),
+        {.groups = kRunFlags | kScaleFlag | kDatasetFlags,
+         .datasets = {datasetByAbbrev("CR")},
+         .oneDataset = true});
 
     // 1. Instantiate a dataset stand-in (Table II statistics).
-    const DatasetSpec &spec = datasetByAbbrev(abbrev);
-    Dataset dataset = instantiateDataset(spec, cli.scale());
+    const DatasetSpec &spec = options.datasets.front();
+    Dataset dataset = instantiateDataset(spec, options.scale);
     std::printf("dataset %s: %u vertices, %llu edges, avg degree %.1f, "
                 "input width %u\n",
                 spec.name, dataset.graph.numVertices(),
@@ -36,23 +35,20 @@ main(int argc, char **argv)
                 dataset.graph.avgDegree(), dataset.inputWidth);
 
     // 2. Describe the network (28-layer residual GCN by default).
-    NetworkSpec net;
-    net.layers = layers;
+    const NetworkSpec &net = options.net;
 
     // 3. Pick accelerators and run.
     const AccelConfig sgcn_config = makeSgcn();
     const AccelConfig baseline = makeGcnax();
     std::printf("\n%s\n", sgcn_config.describe().c_str());
 
-    RunOptions opts;
-    opts.mode = timing ? ExecutionMode::Timing : ExecutionMode::Fast;
-
-    const RunResult ours = runNetwork(sgcn_config, dataset, net, opts);
-    const RunResult ref = runNetwork(baseline, dataset, net, opts);
+    const RunResult ours =
+        runNetwork(sgcn_config, dataset, net, options.run);
+    const RunResult ref = runNetwork(baseline, dataset, net, options.run);
 
     // 4. Report.
     Table table("quickstart: " + std::string(spec.name) + ", " +
-                std::to_string(layers) + " layers");
+                std::to_string(net.layers) + " layers");
     table.header({"metric", "GCNAX", "SGCN"});
     table.row({"cycles", Table::num(ref.total.cycles, 0),
                Table::num(ours.total.cycles, 0)});

@@ -74,10 +74,4 @@ tryLinkByName(const std::string &name)
                      name, "' (expected pcie4|noc)");
 }
 
-LinkConfig
-linkByName(const std::string &name)
-{
-    return tryLinkByName(name).orFatal();
-}
-
 } // namespace sgcn

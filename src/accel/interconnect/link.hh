@@ -96,10 +96,7 @@ struct LinkConfig
     static LinkConfig noc();
 };
 
-/** Preset by CLI name ("pcie4"|"noc"); fatal on miss. */
-LinkConfig linkByName(const std::string &name);
-
-/** Preset by CLI name; typed error on miss. */
+/** Preset by CLI name ("pcie4"|"noc"); typed error on miss. */
 Expected<LinkConfig> tryLinkByName(const std::string &name);
 
 } // namespace sgcn

@@ -166,29 +166,6 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
 
 } // namespace
 
-void
-applyPipelineFlag(RunOptions &opts, bool present,
-                  const std::string &value)
-{
-    if (!present)
-        return;
-    if (value.empty() || value == "1" || value == "true" ||
-        value == "yes" || value == "on" || value == "layer") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = false;
-    } else if (value == "tile") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = true;
-    } else if (value == "0" || value == "false" || value == "no" ||
-               value == "off") {
-        opts.interLayerOverlap = false;
-        opts.tileOverlap = false;
-    } else {
-        fatal("bad --pipeline value '", value,
-              "' (expected off|layer|tile)");
-    }
-}
-
 Expected<RunResult>
 tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
               const NetworkSpec &net, const RunOptions &opts)

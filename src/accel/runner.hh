@@ -142,15 +142,6 @@ struct RunOptions
 void clearSweepArtifacts();
 
 /**
- * Apply the shared --pipeline[=off|layer|tile] CLI flag to @p opts:
- * absent leaves the options alone; bare/"layer"/truthy values select
- * per-layer gating; "tile" selects per-tile gating; falsy values
- * turn pipelining off. Fatal on anything else.
- */
-void applyPipelineFlag(RunOptions &opts, bool present,
-                       const std::string &value);
-
-/**
  * Simulate @p net on @p dataset with accelerator @p config,
  * reporting recoverable failures — zero chips, an invalid fault plan
  * for the run shape, or a chip failure under --degraded-mode

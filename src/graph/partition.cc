@@ -133,12 +133,6 @@ tryPartitionPolicyByName(const std::string &name)
                      name, "' (expected contiguous|edge)");
 }
 
-PartitionPolicy
-partitionPolicyByName(const std::string &name)
-{
-    return tryPartitionPolicyByName(name).orFatal();
-}
-
 VertexId
 ChipShard::chipRowOf(VertexId global) const
 {

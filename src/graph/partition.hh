@@ -143,10 +143,8 @@ partitionPolicyName(PartitionPolicy policy)
     return "invalid";
 }
 
-/** Policy by CLI name ("contiguous"|"edge"); fatal on miss. */
-PartitionPolicy partitionPolicyByName(const std::string &name);
-
-/** Policy by CLI name; typed error on miss. */
+/** Policy by CLI name ("contiguous"|"edge"|"edge-balanced"); typed
+ *  error on miss. */
 Expected<PartitionPolicy>
 tryPartitionPolicyByName(const std::string &name);
 

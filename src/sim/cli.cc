@@ -1,14 +1,69 @@
 #include "sim/cli.hh"
 
+#include <cerrno>
 #include <cstdlib>
-
-#include "sim/logging.hh"
 
 namespace sgcn
 {
 
+Expected<std::int64_t>
+parseInteger(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::int64_t value = std::strtoll(text.c_str(), &end, 0);
+    if (text.empty() || *end != '\0' || errno == ERANGE) {
+        return makeError(ErrorCode::InvalidArgument, "'", text,
+                         "' is not an integer");
+    }
+    return value;
+}
+
+Expected<double>
+parseNumber(const std::string &text)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0') {
+        return makeError(ErrorCode::InvalidArgument, "'", text,
+                         "' is not a number");
+    }
+    return value;
+}
+
+Expected<bool>
+parseBoolean(const std::string &text)
+{
+    if (text.empty() || text == "1" || text == "true" || text == "yes")
+        return true;
+    if (text == "0" || text == "false" || text == "no")
+        return false;
+    return makeError(ErrorCode::InvalidArgument, "'", text,
+                     "' is not true|false");
+}
+
+namespace
+{
+
+/** @p value, or its error led by the flag's name. */
+template <typename T>
+Expected<T>
+named(const std::string &name, Expected<T> value)
+{
+    if (value.ok())
+        return value;
+    return makeError(ErrorCode::InvalidArgument, "--", name, ": ",
+                     value.error().message);
+}
+
+} // namespace
+
 Cli::Cli(int argc, char **argv)
 {
+    if (argc > 0) {
+        programName = argv[0];
+        programName = programName.substr(programName.rfind('/') + 1);
+    }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
@@ -41,47 +96,22 @@ Cli::getString(const std::string &name, const std::string &fallback) const
     return it == flags.end() ? fallback : it->second;
 }
 
-std::int64_t
-Cli::getInt(const std::string &name, std::int64_t fallback) const
-{
-    auto it = flags.find(name);
-    if (it == flags.end() || it->second.empty())
-        return fallback;
-    char *end = nullptr;
-    const std::int64_t value =
-        std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("bad integer flag --", name, "=", it->second);
-    return value;
-}
-
-double
+Expected<double>
 Cli::getDouble(const std::string &name, double fallback) const
 {
     auto it = flags.find(name);
-    if (it == flags.end() || it->second.empty())
+    if (it == flags.end())
         return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("bad numeric flag --", name, "=", it->second);
-    return value;
+    return named(name, parseNumber(it->second));
 }
 
-bool
+Expected<bool>
 Cli::getBool(const std::string &name, bool fallback) const
 {
     auto it = flags.find(name);
     if (it == flags.end())
         return fallback;
-    const std::string &value = it->second;
-    if (value.empty() || value == "1" || value == "true" ||
-        value == "yes") {
-        return true;
-    }
-    if (value == "0" || value == "false" || value == "no")
-        return false;
-    fatal("bad boolean flag --", name, "=", value);
+    return named(name, parseBoolean(it->second));
 }
 
 std::vector<std::string>
@@ -96,16 +126,6 @@ Cli::unknownFlags(const std::vector<std::string> &known) const
             unknown.push_back(name);
     }
     return unknown;
-}
-
-double
-Cli::scale() const
-{
-    if (has("scale"))
-        return getDouble("scale", 1.0);
-    if (const char *env = std::getenv("SGCN_BENCH_SCALE"))
-        return std::strtod(env, nullptr);
-    return 1.0;
 }
 
 } // namespace sgcn

@@ -45,6 +45,9 @@ enum class ErrorCode : std::uint8_t
     /** A simulated chip failed and the run could not (or was asked
      *  not to) degrade around it. */
     ChipFailure,
+
+    /** A command line names a flag the binary does not take. */
+    Usage,
 };
 
 /** Human-readable code name. */
@@ -64,6 +67,8 @@ errorCodeName(ErrorCode code)
         return "not-found";
       case ErrorCode::ChipFailure:
         return "chip-failure";
+      case ErrorCode::Usage:
+        return "usage";
     }
     return "invalid";
 }

@@ -307,7 +307,7 @@ parseDegradedMode(const std::string &name)
         return DegradedMode::Repartition;
     if (name == "fail-fast")
         return DegradedMode::FailFast;
-    return makeError(ErrorCode::ParseError, "bad --degraded-mode '",
+    return makeError(ErrorCode::ParseError, "unknown degraded mode '",
                      name, "' (expected repartition|fail-fast)");
 }
 

@@ -31,50 +31,6 @@ StatSet::dump(const std::string &indent) const
     return os.str();
 }
 
-Histogram::Histogram(double lo, double hi, unsigned num_buckets)
-    : lower(lo), upper(hi), counts(num_buckets, 0)
-{
-    SGCN_ASSERT(hi > lo && num_buckets > 0);
-}
-
-void
-Histogram::sample(double value)
-{
-    double fraction = (value - lower) / (upper - lower);
-    if (fraction < 0.0)
-        fraction = 0.0;
-    if (fraction >= 1.0)
-        fraction = std::nexttoward(1.0, 0.0);
-    const auto bucket = static_cast<std::size_t>(
-        fraction * static_cast<double>(counts.size()));
-    ++counts[bucket];
-    ++total;
-    sum += value;
-    sumSq += value * value;
-    if (total == 1) {
-        minSeen = maxSeen = value;
-    } else {
-        minSeen = std::min(minSeen, value);
-        maxSeen = std::max(maxSeen, value);
-    }
-}
-
-double
-Histogram::mean() const
-{
-    return total ? sum / static_cast<double>(total) : 0.0;
-}
-
-double
-Histogram::stddev() const
-{
-    if (total < 2)
-        return 0.0;
-    const double n = static_cast<double>(total);
-    const double variance = (sumSq - sum * sum / n) / (n - 1.0);
-    return variance > 0.0 ? std::sqrt(variance) : 0.0;
-}
-
 double
 geomean(const std::vector<double> &values)
 {

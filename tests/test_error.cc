@@ -3,9 +3,10 @@
  * The recoverable-error layer (Expected/Status) and every library
  * path converted from fatal() to typed errors: graph loaders fed
  * crafted corrupt fixtures, synth-spec parsing, registry and
- * personality lookups, and the sgcn_sim CLI's exit-code contract
- * (carries the "corrupt" ctest label; the ASan+UBSan CI job runs
- * exactly this label over the malformed-input fixtures).
+ * personality lookups, and the exit-code contract of sgcn_sim and
+ * the bench harnesses (carries the "corrupt" ctest label; the
+ * ASan+UBSan CI job runs exactly this label over the malformed-input
+ * fixtures).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "accel/dataflow/registry.hh"
+#include "accel/interconnect/link.hh"
 #include "accel/personalities.hh"
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
@@ -304,6 +306,14 @@ TEST(Lookups, UnknownPartitionPolicyIsNotFound)
     EXPECT_TRUE(tryPartitionPolicyByName("edge").ok());
 }
 
+TEST(Lookups, UnknownLinkPresetIsNotFound)
+{
+    Expected<LinkConfig> link = tryLinkByName("bogus");
+    ASSERT_FALSE(link.ok());
+    EXPECT_EQ(link.error().code, ErrorCode::NotFound);
+    EXPECT_TRUE(tryLinkByName("noc").ok());
+}
+
 TEST(Lookups, UnknownPersonalityIsNotFoundAndListsTheRoster)
 {
     Expected<AccelConfig> config = tryPersonalityByName("bogus");
@@ -322,20 +332,26 @@ TEST(Lookups, RegisteredDataflowsResolve)
 }
 
 // --------------------------------------------------------------
-// sgcn_sim exit codes (the CLI boundary keeps fatal/usage exits)
+// Exit codes: 2 for a usage error, 1 for a bad value
 // --------------------------------------------------------------
 
-/** Run the sgcn_sim binary (cwd = build dir under ctest); -1 when it
- *  is not where ctest puts it (manual runs from elsewhere). */
+/** Run ./@p binary (cwd = build dir under ctest); -1 when it is not
+ *  where ctest puts it (manual runs from elsewhere). */
+int
+runBinary(const std::string &binary, const std::string &args)
+{
+    if (!std::ifstream("./" + binary).good())
+        return -1;
+    const std::string cmd =
+        "./" + binary + " " + args + " >/dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -2;
+}
+
 int
 runSim(const std::string &args)
 {
-    if (!std::ifstream("./sgcn_sim").good())
-        return -1;
-    const std::string cmd =
-        "./sgcn_sim " + args + " >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -2;
+    return runBinary("sgcn_sim", args);
 }
 
 TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
@@ -350,8 +366,29 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
     EXPECT_EQ(runSim("frobnicate"), 2);
     EXPECT_EQ(runSim(""), 2);
 
-    // Bad flag values hit the CLI-boundary fatal(): exit 1.
+    // Bad flag values exit 1, before any dataset is built (these
+    // used to run a wrong configuration, panic or trap).
     EXPECT_EQ(runSim("datasets --scale banana"), 1);
+    for (const char *args :
+         {"run --chips -1", "run --sampled -2", "run --dram ddr4",
+          "run --layers 1", "run --sampled 0", "run --cache-kb 0",
+          "run --hidden 0", "run --scale 0", "run --engines 0",
+          "serve --rate -5"}) {
+        EXPECT_EQ(runSim(args), 1) << args;
+    }
+    ASSERT_EQ(setenv("SGCN_BENCH_SCALE", "banana", 1), 0);
+    EXPECT_EQ(runSim("datasets"), 1);
+    unsetenv("SGCN_BENCH_SCALE");
+}
+
+TEST(BenchCli, ExitCodesDistinguishUsageFromBadValues)
+{
+    const int probe = runBinary("fig12_ablation", "--bogus-flag 3");
+    if (probe == -1)
+        GTEST_SKIP() << "fig12_ablation not in the working directory";
+    EXPECT_EQ(probe, 2);
+    EXPECT_EQ(runBinary("fig12_ablation", "--mode timng"), 1);
+    EXPECT_EQ(runBinary("fig12_ablation", "--chips -1"), 1);
 }
 
 } // namespace

@@ -172,11 +172,11 @@ TEST_F(PartitionTest, SingleChipIsTheWholeGraph)
 
 TEST_F(PartitionTest, PolicyByNameRoundTrips)
 {
-    EXPECT_EQ(partitionPolicyByName("contiguous"),
+    EXPECT_EQ(tryPartitionPolicyByName("contiguous").value(),
               PartitionPolicy::Contiguous);
-    EXPECT_EQ(partitionPolicyByName("edge"),
+    EXPECT_EQ(tryPartitionPolicyByName("edge").value(),
               PartitionPolicy::EdgeBalanced);
-    EXPECT_EQ(partitionPolicyByName("edge-balanced"),
+    EXPECT_EQ(tryPartitionPolicyByName("edge-balanced").value(),
               PartitionPolicy::EdgeBalanced);
 }
 

@@ -25,11 +25,9 @@
 
 #include "accel/personalities.hh"
 #include "accel/report.hh"
-#include "accel/runner.hh"
+#include "cli/flags.hh"
 #include "gcn/sparsity_model.hh"
 #include "graph/io.hh"
-#include "serve/serve.hh"
-#include "sim/cli.hh"
 #include "sim/table.hh"
 #include "sim/thread_pool.hh"
 
@@ -49,104 +47,76 @@ splitCommas(const std::string &list)
     return out;
 }
 
-RunOptions
-runOptions(const Cli &cli)
-{
-    RunOptions opts;
-    const std::string mode = cli.getString("mode", "fast");
-    if (mode != "fast" && mode != "timing")
-        fatal("bad --mode '", mode, "' (expected fast|timing)");
-    opts.mode = mode == "timing" ? ExecutionMode::Timing
-                                 : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
-    opts.includeInputLayer = cli.getBool("input-layer", true);
-    applyPipelineFlag(opts, cli.has("pipeline"),
-                      cli.getString("pipeline", ""));
-    opts.jobs = static_cast<unsigned>(
-        cli.getInt("jobs", ThreadPool::hardwareJobs()));
-    opts.chips = static_cast<unsigned>(cli.getInt("chips", 1));
-    opts.partitionPolicy = partitionPolicyByName(cli.getString(
-        "partition", partitionPolicyName(opts.partitionPolicy)));
-    if (cli.has("link"))
-        opts.link = linkByName(cli.getString("link", "pcie4"));
-    if (cli.has("faults")) {
-        opts.faults =
-            FaultPlan::parse(cli.getString("faults", "")).orFatal();
-    }
-    if (cli.has("degraded-mode")) {
-        opts.degradedMode =
-            parseDegradedMode(cli.getString("degraded-mode", ""))
-                .orFatal();
-    }
-    return opts;
-}
-
-NetworkSpec
-networkSpec(const Cli &cli)
-{
-    NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
-    net.hidden = static_cast<unsigned>(cli.getInt("hidden", 256));
-    net.residual = cli.getBool("residual", true);
-    const std::string agg = cli.getString("agg", "gcn");
-    if (agg == "gin") {
-        net.agg = AggKind::Gin;
-    } else if (agg == "sage") {
-        net.agg = AggKind::Sage;
-    } else if (agg != "gcn") {
-        fatal("unknown --agg: ", agg, " (gcn|gin|sage)");
-    }
-    return net;
-}
-
+/** The --edge-list graph if one is given, else the dataset flag's. */
 Dataset
-datasetFromCli(const Cli &cli)
+datasetFromCli(const Cli &cli, const BenchOptions &options)
 {
     const std::string edge_list = cli.getString("edge-list", "");
-    if (!edge_list.empty()) {
-        // User-provided topology; synthesize the rest of the spec.
-        Dataset dataset{datasetByAbbrev("CR"),
-                        loadEdgeList(edge_list).orFatal(), 0, 1.0};
-        dataset.spec.name = "user-graph";
-        dataset.spec.abbrev = "UG";
-        dataset.inputWidth = static_cast<unsigned>(
-            cli.getInt("input-width", 512));
-        return dataset;
+    if (edge_list.empty()) {
+        return instantiateDataset(options.datasets.front(),
+                                  options.scale);
     }
-    return instantiateDataset(
-        datasetByAbbrev(cli.getString("dataset", "CR")), cli.scale());
+    const unsigned width = countFlag(cli, "input-width", 512, 1).orFatal();
+    // User-provided topology; synthesize the rest of the spec.
+    Dataset dataset{datasetByAbbrev("CR"),
+                    loadEdgeList(edge_list).orFatal(), 0, 1.0};
+    dataset.spec.name = "user-graph";
+    dataset.spec.abbrev = "UG";
+    dataset.inputWidth = width;
+    return dataset;
 }
 
+/** The --accels personalities with --cache-kb, --engines and --dram
+ *  applied; a bad value exits 1. */
 std::vector<AccelConfig>
 configsFromCli(const Cli &cli)
 {
+    const std::string dram = cli.getString("dram", "hbm2");
+    if (dram != "hbm1" && dram != "hbm2")
+        fatal("--dram: '", dram, "' is not one of hbm1|hbm2");
     std::vector<AccelConfig> configs;
     for (const std::string &name :
          splitCommas(cli.getString("accels", "GCNAX,SGCN"))) {
         AccelConfig config = personalityByName(name);
-        config.cache.sizeBytes = static_cast<std::uint64_t>(
-            cli.getInt("cache-kb",
-                       static_cast<std::int64_t>(
-                           config.cache.sizeBytes / 1024))) *
-            1024;
-        config.aggEngines = static_cast<unsigned>(
-            cli.getInt("engines", config.aggEngines));
+        const auto size_kb =
+            static_cast<unsigned>(config.cache.sizeBytes / 1024);
+        const unsigned kb = countFlag(cli, "cache-kb", size_kb, 1).orFatal();
+        config.cache.sizeBytes = std::uint64_t{kb} * 1024;
+        config.aggEngines =
+            countFlag(cli, "engines", config.aggEngines, 1).orFatal();
         config.combEngines = config.aggEngines;
-        if (cli.getString("dram", "hbm2") == "hbm1")
+        if (dram == "hbm1")
             config.dram = DramConfig::hbm1();
         configs.push_back(std::move(config));
     }
     return configs;
 }
 
-int
-cmdRun(const Cli &cli)
+/** The --stats dump and --csv export of run and serve. */
+void
+printStatsAndCsv(const Cli &cli, const std::vector<RunResult> &results)
 {
-    const Dataset dataset = datasetFromCli(cli);
-    const NetworkSpec net = networkSpec(cli);
-    const RunOptions opts = runOptions(cli);
+    if (cli.has("stats")) {
+        for (const auto &run : results) {
+            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
+                        run.datasetAbbrev.c_str());
+            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
+        }
+    }
+    const std::string csv = cli.getString("csv", "");
+    if (!csv.empty()) {
+        writeRunsCsv(results, csv);
+        std::printf("\nwrote %s\n", csv.c_str());
+    }
+}
+
+int
+cmdRun(const Cli &cli, const BenchOptions &options)
+{
     const std::vector<AccelConfig> configs = configsFromCli(cli);
+    const Dataset dataset = datasetFromCli(cli, options);
+    const NetworkSpec &net = options.net;
+    const RunOptions &opts = options.run;
 
     std::printf("%s: %u vertices, %llu edges | %u-layer %s\n",
                 dataset.spec.name, dataset.graph.numVertices(),
@@ -211,18 +181,7 @@ cmdRun(const Cli &cli)
             std::printf("%s\n", faultSummaryLine(run).c_str());
     }
 
-    if (cli.has("stats")) {
-        for (const auto &run : results) {
-            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
-                        run.datasetAbbrev.c_str());
-            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
-        }
-    }
-    const std::string csv = cli.getString("csv", "");
-    if (!csv.empty()) {
-        writeRunsCsv(results, csv);
-        std::printf("\nwrote %s\n", csv.c_str());
-    }
+    printStatsAndCsv(cli, results);
     const std::string sched_csv = cli.getString("export-schedule", "");
     if (!sched_csv.empty()) {
         // Mirror the runner's sampling so the exported rows carry
@@ -238,42 +197,17 @@ cmdRun(const Cli &cli)
     return 0;
 }
 
-ServeOptions
-serveOptions(const Cli &cli)
-{
-    ServeOptions serve;
-    serve.offeredQps = cli.getDouble("rate", serve.offeredQps);
-    serve.requests = static_cast<unsigned>(
-        cli.getInt("requests", serve.requests));
-    serve.maxBatch = static_cast<unsigned>(
-        cli.getInt("batch-max", serve.maxBatch));
-    serve.maxLingerCycles = static_cast<Cycle>(cli.getInt(
-        "linger", static_cast<std::int64_t>(serve.maxLingerCycles)));
-    serve.sample.hops = static_cast<unsigned>(
-        cli.getInt("hops", serve.sample.hops));
-    serve.sample.fanout = static_cast<unsigned>(
-        cli.getInt("fanout", serve.sample.fanout));
-    serve.sample.seed = static_cast<std::uint64_t>(cli.getInt(
-        "serve-seed", static_cast<std::int64_t>(serve.sample.seed)));
-    const std::string arrival = cli.getString("arrival", "poisson");
-    if (arrival == "fixed")
-        serve.poisson = false;
-    else if (arrival != "poisson")
-        fatal("bad --arrival '", arrival, "' (expected poisson|fixed)");
-    return serve;
-}
-
 int
-cmdServe(const Cli &cli)
+cmdServe(const Cli &cli, const BenchOptions &options)
 {
-    const Dataset dataset = datasetFromCli(cli);
-    NetworkSpec net = networkSpec(cli);
+    const std::vector<AccelConfig> configs = configsFromCli(cli);
+    const Dataset dataset = datasetFromCli(cli, options);
+    const RunOptions &opts = options.run;
+    const ServeOptions &serve = options.serve;
     // The per-trace seed also keys the cached SAGE edge fractions,
     // so two serve traces with different seeds never share one.
-    const RunOptions opts = runOptions(cli);
-    const ServeOptions serve = serveOptions(cli);
+    NetworkSpec net = options.net;
     net.sageSeed = serve.sample.seed;
-    const std::vector<AccelConfig> configs = configsFromCli(cli);
 
     std::printf("%s: %u vertices, %llu edges | %u-layer %s | "
                 "serving %u requests (%s @ %.0f qps, batch<=%u, "
@@ -331,32 +265,16 @@ cmdServe(const Cli &cli)
             std::printf("%s\n", faultSummaryLine(run).c_str());
     }
 
-    if (cli.has("stats")) {
-        for (const auto &run : results) {
-            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
-                        run.datasetAbbrev.c_str());
-            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
-        }
-    }
-    const std::string csv = cli.getString("csv", "");
-    if (!csv.empty()) {
-        writeRunsCsv(results, csv);
-        std::printf("\nwrote %s\n", csv.c_str());
-    }
+    printStatsAndCsv(cli, results);
     return 0;
 }
 
 int
-cmdSweep(const Cli &cli)
+cmdSweep(const Cli &cli, const BenchOptions &options)
 {
-    const Dataset dataset = datasetFromCli(cli);
-    const NetworkSpec base_net = networkSpec(cli);
-    const RunOptions opts = runOptions(cli);
+    const NetworkSpec &base_net = options.net;
+    const RunOptions &opts = options.run;
     const std::string knob = cli.getString("knob", "cache");
-
-    Table table("sweep: " + knob + " on " +
-                std::string(dataset.spec.abbrev));
-    table.header({knob, "GCNAX cycles", "SGCN cycles", "speedup"});
 
     // Queue the whole (knob value x accelerator) product, then fan
     // it out in one parallelFor so --jobs N uses the full pool
@@ -418,6 +336,12 @@ cmdSweep(const Cli &cli)
               " (cache|engines|layers|slice)");
     }
 
+    // Built after the knob is known good: a bad value exits first.
+    const Dataset dataset = datasetFromCli(cli, options);
+    Table table("sweep: " + knob + " on " +
+                std::string(dataset.spec.abbrev));
+    table.header({knob, "GCNAX cycles", "SGCN cycles", "speedup"});
+
     std::vector<RunResult> runs(cells.size());
     parallelFor(opts.jobs, cells.size(), [&](std::size_t i) {
         runs[i] = runNetwork(cells[i].config, dataset, cells[i].net,
@@ -435,7 +359,7 @@ cmdSweep(const Cli &cli)
 }
 
 int
-cmdDescribe(const Cli &cli)
+cmdDescribe(const Cli &cli, const BenchOptions &)
 {
     const std::string name = cli.getString("accel", "SGCN");
     std::fputs(personalityByName(name).describe().c_str(), stdout);
@@ -443,13 +367,13 @@ cmdDescribe(const Cli &cli)
 }
 
 int
-cmdDatasets(const Cli &cli)
+cmdDatasets(const Cli &, const BenchOptions &options)
 {
     Table table("Table II registry");
     table.header({"abbrev", "name", "full |V|", "full |E|", "width",
                   "sparsity@28", "inst |V|", "inst |E|"});
     for (const auto &spec : allDatasets()) {
-        const Dataset dataset = instantiateDataset(spec, cli.scale());
+        const Dataset dataset = instantiateDataset(spec, options.scale);
         table.row({spec.abbrev, spec.name,
                    std::to_string(spec.fullVertices),
                    std::to_string(spec.fullEdges),
@@ -464,9 +388,9 @@ cmdDatasets(const Cli &cli)
 }
 
 int
-cmdGenerate(const Cli &cli)
+cmdGenerate(const Cli &cli, const BenchOptions &options)
 {
-    const Dataset dataset = datasetFromCli(cli);
+    const Dataset dataset = datasetFromCli(cli, options);
     const std::string out =
         cli.getString("out", std::string(dataset.spec.abbrev) +
                                  ".edges");
@@ -478,136 +402,58 @@ cmdGenerate(const Cli &cli)
     return 0;
 }
 
-void
-usage()
+/** A subcommand: the shared flag groups it takes and the flags it
+ *  reads itself. */
+struct Command
 {
-    std::fputs(
-        "usage: sgcn_sim <run|serve|sweep|describe|datasets|generate> "
-        "[flags]\n"
-        "  run       --dataset CR|...|synth:<N>[:deg<D>] or "
-        "--edge-list FILE; --accels A,B; --mode fast|timing;\n"
-        "            (synth:200k, synth:1M:deg12, ... generate "
-        "uncapped clustered graphs in parallel)\n"
-        "            --layers N --hidden N --agg gcn|gin|sage "
-        "--cache-kb N --engines N\n"
-        "            --dram hbm1|hbm2 --csv FILE --stats "
-        "--jobs N (default: all hardware threads)\n"
-        "            --pipeline[=layer|tile] (overlap layers on one "
-        "timeline; =tile gates on\n"
-        "            per-tile output availability; see README "
-        "\"Inter-layer pipelining\")\n"
-        "            --chips N (shard over N chips; "
-        "--partition contiguous|edge-balanced;\n"
-        "            --link pcie4|noc; see README \"Multi-chip "
-        "scale-out\")\n"
-        "            --faults SPEC (deterministic fault injection, "
-        "e.g. link-degrade:chip1:0.5,\n"
-        "            chip-stall:chip0:5000@layer2, chip-fail:chip2, "
-        "dram-retry:0.01, seed:<n>)\n"
-        "            --degraded-mode repartition|fail-fast "
-        "(reaction to chip-fail)\n"
-        "            --export-schedule FILE (per-layer phase spans "
-        "and tile windows as CSV)\n"
-        "  serve     run-shaped flags plus --rate QPS --requests N "
-        "--batch-max N --linger CYC\n"
-        "            --arrival poisson|fixed --hops N --fanout N "
-        "--serve-seed N (see README\n"
-        "            \"Serving traces\": open-loop trace over "
-        "per-request ego-network batches;\n"
-        "            --faults plans replay as tail-latency tests)\n"
-        "  sweep     --knob cache|engines|layers|slice --dataset ...\n"
-        "  describe  --accel SGCN|GCNAX|HyGCN|AWB-GCN|EnGN|I-GCN\n"
-        "  datasets  [--scale X]\n"
-        "  generate  --dataset ... --out FILE\n",
-        stderr);
-}
-
-/** Flags every dataset/run-shaped subcommand understands. */
-std::vector<std::string>
-sharedRunFlags()
-{
-    return {"dataset",     "edge-list", "input-width", "scale",
-            "mode",        "sampled",   "input-layer", "pipeline",
-            "jobs",        "chips",     "partition",   "link",
-            "layers",      "hidden",    "residual",    "agg",
-            "faults",      "degraded-mode"};
-}
-
-/** Reject flags the subcommand does not understand: exit 2 with the
- *  offenders named and the usage hint, instead of silently ignoring
- *  a typo like --chps 4. */
-int
-rejectUnknownFlags(const Cli &cli, const std::string &command,
-                   std::vector<std::string> known)
-{
-    const std::vector<std::string> unknown = cli.unknownFlags(known);
-    if (unknown.empty())
-        return 0;
-    for (const std::string &flag : unknown) {
-        std::fprintf(stderr, "sgcn_sim %s: unknown flag --%s\n",
-                     command.c_str(), flag.c_str());
-    }
-    usage();
-    return 2;
-}
+    const char *name;
+    unsigned groups;
+    std::vector<std::string> extras;
+    int (*run)(const Cli &, const BenchOptions &);
+};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    if (cli.positional().size() != 1) {
-        usage();
-        return 2;
+    const Cli cli(argc, argv);
+    const unsigned graph = kRunFlags | kScaleFlag | kDatasetFlags;
+    const Command commands[] = {
+        {"run", graph,
+         {"accels", "cache-kb", "engines", "dram", "csv", "stats",
+          "export-schedule", "edge-list", "input-width"},
+         cmdRun},
+        {"serve", graph | kServeFlags,
+         {"accels", "cache-kb", "engines", "dram", "csv", "stats",
+          "edge-list", "input-width"},
+         cmdServe},
+        {"sweep", graph, {"knob", "edge-list", "input-width"}, cmdSweep},
+        {"describe", 0, {"accel"}, cmdDescribe},
+        {"datasets", kScaleFlag, {}, cmdDatasets},
+        {"generate", graph, {"out", "edge-list", "input-width"},
+         cmdGenerate},
+    };
+    const std::string name =
+        cli.positional().size() == 1 ? cli.positional().front() : "";
+    for (const Command &command : commands) {
+        if (name != command.name)
+            continue;
+        const BenchOptions options = parseFlagsOrExit(
+            cli,
+            {.groups = command.groups,
+             .datasets = {datasetByAbbrev("CR")},
+             .extras = command.extras,
+             .oneDataset = true},
+            "sgcn_sim " + name);
+        return command.run(cli, options);
     }
-    const std::string &command = cli.positional().front();
-    std::vector<std::string> known = sharedRunFlags();
-    if (command == "run") {
-        for (const char *extra : {"accels", "cache-kb", "engines",
-                                  "dram", "csv", "stats",
-                                  "export-schedule"}) {
-            known.push_back(extra);
-        }
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdRun(cli);
-    }
-    if (command == "serve") {
-        for (const char *extra :
-             {"accels", "cache-kb", "engines", "dram", "csv", "stats",
-              "rate", "requests", "batch-max", "linger", "arrival",
-              "hops", "fanout", "serve-seed"}) {
-            known.push_back(extra);
-        }
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdServe(cli);
-    }
-    if (command == "sweep") {
-        known.push_back("knob");
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdSweep(cli);
-    }
-    if (command == "describe") {
-        if (int rc = rejectUnknownFlags(cli, command, {"accel"}))
-            return rc;
-        return cmdDescribe(cli);
-    }
-    if (command == "datasets") {
-        if (int rc = rejectUnknownFlags(cli, command, {"scale"}))
-            return rc;
-        return cmdDatasets(cli);
-    }
-    if (command == "generate") {
-        known.push_back("out");
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdGenerate(cli);
-    }
-    std::fprintf(stderr, "sgcn_sim: unknown command '%s'\n",
-                 command.c_str());
-    usage();
+    if (!name.empty())
+        std::fprintf(stderr, "sgcn_sim: unknown command '%s'\n",
+                     name.c_str());
+    std::fputs("usage: sgcn_sim <run|serve|sweep|describe|datasets|"
+               "generate> [flags]\n(an unknown flag lists a command's "
+               "flags)\n",
+               stderr);
     return 2;
 }
