@@ -1,128 +1,261 @@
 #include "accel/report.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <variant>
 
 #include "sim/logging.hh"
 
 namespace sgcn
 {
 
-std::string
-runResultCsvHeader()
+namespace
 {
-    return "accel,dataset,cycles,agg_cycles,comb_cycles,"
-           "lines_total,lines_topology,lines_feature_in,"
-           "lines_feature_out,lines_weight,lines_partial_sum,"
-           "cache_accesses,cache_hits,macs,bw_util,"
-           "energy_compute_j,energy_cache_j,energy_dram_j,"
-           "tdp_w,area_mm2,pipelined,pipeline_gating,serial_cycles,"
-           "overlap_saved_cycles,per_layer_cycles,per_tile_cycles,"
-           "tile_saved_cycles,steady_advance_cycles,"
-           "critical_phase,chips,partition_policy,link,"
-           "halo_vertices,exchange_bytes,exchange_cycles,"
-           "link_busy_cycles,link_busy_frac,"
-           "bottleneck_chip_cycles";
-}
 
-std::string
-runResultCsvRow(const RunResult &run)
+/** The part of a RunResult an exported quantity belongs to. */
+enum class Section : std::uint8_t
 {
-    std::ostringstream os;
-    os << run.accelName << ',' << run.datasetAbbrev << ','
-       << run.total.cycles << ',' << run.total.aggCycles << ','
-       << run.total.combCycles << ','
-       << run.total.traffic.totalLines();
+    Run,
+    Pipeline,
+    Shard,
+    Fault,
+    Serve,
+};
+
+/** One exported value: a count, a measurement or a label. */
+using Value = std::variant<std::uint64_t, double, std::string>;
+
+/** One exported quantity. An empty csv name keeps it out of the CSV
+ *  and an empty stat key out of --stats. Labels are CSV-only, and a
+ *  label cell is empty when the run has its section off. */
+struct Column
+{
+    Section section;
+    std::string csv;
+    std::string stat;
+    std::function<Value(const RunResult &)> read;
+};
+
+/** Every exported quantity, in CSV column order. */
+std::vector<Column>
+makeColumns()
+{
+    using enum Section;
+    using R = const RunResult &;
+    std::vector<Column> columns{
+        {Run, "accel", "", [](R r) { return r.accelName; }},
+        {Run, "dataset", "", [](R r) { return r.datasetAbbrev; }},
+        {Run, "cycles", "cycles", [](R r) { return r.total.cycles; }},
+        {Run, "agg_cycles", "cycles.aggregation",
+         [](R r) { return r.total.aggCycles; }},
+        {Run, "comb_cycles", "cycles.combination",
+         [](R r) { return r.total.combCycles; }},
+        {Run, "lines_total", "offchip.lines",
+         [](R r) { return r.total.traffic.totalLines(); }},
+    };
     for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
-        os << ','
-           << run.total.traffic.classLines(
-                  static_cast<TrafficClass>(c));
+        const auto cls = static_cast<TrafficClass>(c);
+        const std::string name = trafficClassName(cls);
+        columns.push_back(
+            {Run, "lines_" + name, "offchip.lines." + name,
+             [cls](R r) { return r.total.traffic.classLines(cls); }});
     }
-    os << ',' << run.total.cacheAccesses << ',' << run.total.cacheHits
-       << ',' << run.total.macs << ',' << run.total.bwUtil << ','
-       << run.energy.computeJ << ',' << run.energy.cacheJ << ','
-       << run.energy.dramJ << ',' << run.tdpWatts << ','
-       << run.areaMm2 << ',' << (run.pipeline.enabled ? 1 : 0) << ','
-       << (run.pipeline.enabled
-               ? pipelineGatingName(run.pipeline.gating)
-               : "")
-       << ',' << run.pipeline.serialCycles << ','
-       << run.pipeline.overlapSavedCycles << ','
-       << run.pipeline.perLayerCycles << ','
-       << run.pipeline.perTileCycles << ','
-       << run.pipeline.tileSavedCycles << ','
-       << run.pipeline.steadyStateAdvance << ','
-       << (run.pipeline.enabled
-               ? layerPhaseName(run.pipeline.criticalPhase)
-               : "")
-       << ',' << run.shard.chips << ','
-       << run.shard.partitionPolicy << ',' << run.shard.linkName
-       << ',' << run.shard.haloVertices << ','
-       << run.shard.exchangeBytes << ',' << run.shard.exchangeCycles
-       << ',' << run.shard.linkBusyCycles << ','
-       << run.shard.linkBusyFraction << ','
-       << run.shard.bottleneckChipCycles;
-    return os.str();
+    columns.insert(columns.end(), {
+        {Run, "cache_accesses", "cache.accesses",
+         [](R r) { return r.total.cacheAccesses; }},
+        {Run, "cache_hits", "cache.hits",
+         [](R r) { return r.total.cacheHits; }},
+        {Run, "", "cache.hit_rate", [](R r) { return r.cacheHitRate(); }},
+        {Run, "macs", "compute.macs", [](R r) { return r.total.macs; }},
+        {Run, "bw_util", "dram.bw_util",
+         [](R r) { return r.total.bwUtil; }},
+        {Run, "energy_compute_j", "energy.compute_j",
+         [](R r) { return r.energy.computeJ; }},
+        {Run, "energy_cache_j", "energy.cache_j",
+         [](R r) { return r.energy.cacheJ; }},
+        {Run, "energy_dram_j", "energy.dram_j",
+         [](R r) { return r.energy.dramJ; }},
+        {Run, "", "energy.total_j", [](R r) { return r.energy.total(); }},
+        {Run, "tdp_w", "power.tdp_w", [](R r) { return r.tdpWatts; }},
+        {Run, "area_mm2", "area.mm2", [](R r) { return r.areaMm2; }},
+
+        {Pipeline, "pipelined", "",
+         [](R r) { return std::uint64_t{r.pipeline.enabled}; }},
+        {Pipeline, "pipeline_gating", "",
+         [](R r) { return pipelineGatingName(r.pipeline.gating); }},
+        {Pipeline, "serial_cycles", "pipeline.serial_cycles",
+         [](R r) { return r.pipeline.serialCycles; }},
+        {Pipeline, "overlap_saved_cycles", "pipeline.overlap_saved_cycles",
+         [](R r) { return r.pipeline.overlapSavedCycles; }},
+        {Pipeline, "per_layer_cycles", "pipeline.per_layer_cycles",
+         [](R r) { return r.pipeline.perLayerCycles; }},
+        {Pipeline, "per_tile_cycles", "pipeline.per_tile_cycles",
+         [](R r) { return r.pipeline.perTileCycles; }},
+        {Pipeline, "tile_saved_cycles", "pipeline.tile_saved_cycles",
+         [](R r) { return r.pipeline.tileSavedCycles; }},
+        {Pipeline, "steady_advance_cycles", "pipeline.steady_advance_cycles",
+         [](R r) { return r.pipeline.steadyStateAdvance; }},
+        {Pipeline, "critical_phase", "",
+         [](R r) { return layerPhaseName(r.pipeline.criticalPhase); }},
+
+        {Shard, "chips", "shard.chips", [](R r) { return r.shard.chips; }},
+        {Shard, "partition_policy", "",
+         [](R r) { return r.shard.partitionPolicy; }},
+        {Shard, "link", "", [](R r) { return r.shard.linkName; }},
+        {Shard, "halo_vertices", "shard.halo_vertices",
+         [](R r) { return r.shard.haloVertices; }},
+        {Shard, "exchange_bytes", "shard.exchange_bytes",
+         [](R r) { return r.shard.exchangeBytes; }},
+        {Shard, "exchange_cycles", "shard.exchange_cycles",
+         [](R r) { return r.shard.exchangeCycles; }},
+        {Shard, "link_busy_cycles", "shard.link_busy_cycles",
+         [](R r) { return r.shard.linkBusyCycles; }},
+        {Shard, "link_busy_frac", "shard.link_busy_frac",
+         [](R r) { return r.shard.linkBusyFraction; }},
+        {Shard, "bottleneck_chip_cycles", "shard.bottleneck_chip_cycles",
+         [](R r) { return r.shard.bottleneckChipCycles; }},
+
+        {Fault, "faults", "",
+         [](R r) { return std::uint64_t{r.faults.enabled}; }},
+        // The canonical spec separates clauses with ','; re-separate
+        // them with ';' so the cell keeps the row's arity.
+        {Fault, "fault_spec", "",
+         [](R r) {
+             std::string spec = r.faults.spec;
+             std::replace(spec.begin(), spec.end(), ',', ';');
+             return spec;
+         }},
+        {Fault, "fault_seed", "", [](R r) { return r.faults.seed; }},
+        {Fault, "degraded_mode", "",
+         [](R r) { return r.faults.degradedMode; }},
+        {Fault, "link_retries", "fault.link_retries",
+         [](R r) { return r.faults.linkRetries; }},
+        {Fault, "backoff_cycles", "fault.backoff_cycles",
+         [](R r) { return r.faults.backoffCycles; }},
+        {Fault, "link_timeouts", "fault.link_timeouts",
+         [](R r) { return r.faults.timeouts; }},
+        {Fault, "dram_retries", "fault.dram_retries",
+         [](R r) { return r.faults.dramRetries; }},
+        {Fault, "stall_cycles", "fault.stall_cycles",
+         [](R r) { return r.faults.stallCycles; }},
+        {Fault, "recovery_cycles", "fault.recovery_cycles",
+         [](R r) { return r.faults.recoveryCycles; }},
+        {Fault, "failed_chips", "fault.failed_chips",
+         [](R r) { return r.faults.failedChips; }},
+        {Fault, "surviving_chips", "fault.surviving_chips",
+         [](R r) { return r.faults.survivingChips; }},
+        {Fault, "repartitions", "fault.repartitions",
+         [](R r) { return r.faults.repartitions; }},
+        {Fault, "", "fault.recovered_layers",
+         [](R r) { return r.faults.recoveredLayers.size(); }},
+
+        {Serve, "serve_requests", "serve.requests",
+         [](R r) { return r.serve.requests; }},
+        {Serve, "serve_batches", "serve.batches",
+         [](R r) { return r.serve.batches; }},
+        {Serve, "serve_arrival", "",
+         [](R r) { return r.serve.poisson ? "poisson" : "fixed"; }},
+        {Serve, "serve_offered_qps", "serve.offered_qps",
+         [](R r) { return r.serve.offeredQps; }},
+        {Serve, "serve_max_batch", "", [](R r) { return r.serve.maxBatch; }},
+        {Serve, "serve_linger_cycles", "",
+         [](R r) { return r.serve.maxLingerCycles; }},
+        {Serve, "serve_p50_cycles", "serve.p50_cycles",
+         [](R r) { return r.serve.p50Cycles; }},
+        {Serve, "serve_p95_cycles", "serve.p95_cycles",
+         [](R r) { return r.serve.p95Cycles; }},
+        {Serve, "serve_p99_cycles", "serve.p99_cycles",
+         [](R r) { return r.serve.p99Cycles; }},
+        {Serve, "serve_qps", "serve.sustained_qps",
+         [](R r) { return r.serve.sustainedQps; }},
+        {Serve, "serve_mean_batch", "serve.mean_batch",
+         [](R r) { return r.serve.meanOccupancy; }},
+        {Serve, "serve_peak_batch", "serve.peak_batch",
+         [](R r) { return r.serve.peakOccupancy; }},
+        {Serve, "serve_makespan_cycles", "serve.makespan_cycles",
+         [](R r) { return r.serve.makespanCycles; }},
+        {Serve, "serve_subgraph_vertices", "serve.subgraph_vertices",
+         [](R r) { return r.serve.subgraphVertices; }},
+        {Serve, "serve_subgraph_edges", "serve.subgraph_edges",
+         [](R r) { return r.serve.subgraphEdges; }},
+    });
+    return columns;
 }
 
-std::string
-faultCsvHeaderSuffix()
+/** The column table every export walks. */
+const std::vector<Column> &
+resultColumns()
 {
-    return ",faults,fault_spec,fault_seed,degraded_mode,"
-           "link_retries,backoff_cycles,link_timeouts,dram_retries,"
-           "stall_cycles,recovery_cycles,failed_chips,"
-           "surviving_chips,repartitions";
+    static const std::vector<Column> columns = makeColumns();
+    return columns;
 }
 
-std::string
-faultCsvRowSuffix(const RunResult &run)
+/** True when @p run has @p section on. */
+bool
+sectionOn(const RunResult &run, Section section)
 {
-    const FaultStats &f = run.faults;
-    // The canonical spec separates clauses with ',' — re-separate
-    // with ';' inside the CSV cell so row arity stays intact.
-    std::string spec = f.spec;
-    for (char &ch : spec) {
-        if (ch == ',')
-            ch = ';';
+    switch (section) {
+      case Section::Run:
+        return true;
+      case Section::Pipeline:
+        return run.pipeline.enabled;
+      case Section::Shard:
+        return run.shard.enabled;
+      case Section::Fault:
+        return run.faults.enabled;
+      case Section::Serve:
+        return run.serve.enabled;
     }
-    std::ostringstream os;
-    os << ',' << (f.enabled ? 1 : 0) << ',' << spec << ',' << f.seed
-       << ','
-       << f.degradedMode << ',' << f.linkRetries << ','
-       << f.backoffCycles << ',' << f.timeouts << ','
-       << f.dramRetries << ',' << f.stallCycles << ','
-       << f.recoveryCycles << ',' << f.failedChips << ','
-       << f.survivingChips << ',' << f.repartitions;
-    return os.str();
+    return false;
 }
 
-std::string
-serveCsvHeaderSuffix()
+/** Run, pipeline and shard columns are always written. Fault and
+ *  serve columns are written when any run has the section on — then
+ *  on every row, so mixed sweeps stay rectangular while plain sweep
+ *  CSVs keep their narrower shape. */
+bool
+csvWrites(Section section, const std::vector<RunResult> &runs)
 {
-    return ",serve_requests,serve_batches,serve_arrival,"
-           "serve_offered_qps,serve_max_batch,serve_linger_cycles,"
-           "serve_p50_cycles,serve_p95_cycles,serve_p99_cycles,"
-           "serve_qps,serve_mean_batch,serve_peak_batch,"
-           "serve_makespan_cycles,serve_subgraph_vertices,"
-           "serve_subgraph_edges";
+    if (section != Section::Fault && section != Section::Serve)
+        return true;
+    return std::any_of(runs.begin(), runs.end(),
+                       [section](const RunResult &run) {
+                           return sectionOn(run, section);
+                       });
 }
 
-std::string
-serveCsvRowSuffix(const RunResult &run)
+} // anonymous namespace
+
+void
+writeRunsCsv(const std::vector<RunResult> &runs, std::ostream &out)
 {
-    const ServeStats &s = run.serve;
-    const char *arrival =
-        s.enabled ? (s.poisson ? "poisson" : "fixed") : "";
-    std::ostringstream os;
-    os << ',' << s.requests << ',' << s.batches << ',' << arrival
-       << ',' << s.offeredQps << ',' << s.maxBatch << ','
-       << s.maxLingerCycles << ',' << s.p50Cycles << ','
-       << s.p95Cycles << ',' << s.p99Cycles << ',' << s.sustainedQps
-       << ',' << s.meanOccupancy << ',' << s.peakOccupancy << ','
-       << s.makespanCycles << ',' << s.subgraphVertices << ','
-       << s.subgraphEdges;
-    return os.str();
+    std::vector<const Column *> columns;
+    for (const Column &column : resultColumns()) {
+        if (!column.csv.empty() && csvWrites(column.section, runs))
+            columns.push_back(&column);
+    }
+    const char *sep = "";
+    for (const Column *column : columns) {
+        out << sep << column->csv;
+        sep = ",";
+    }
+    out << '\n';
+    for (const RunResult &run : runs) {
+        sep = "";
+        for (const Column *column : columns) {
+            out << sep;
+            const Value value = column->read(run);
+            if (!std::holds_alternative<std::string>(value) ||
+                sectionOn(run, column->section)) {
+                std::visit([&out](const auto &v) { out << v; }, value);
+            }
+            sep = ",";
+        }
+        out << '\n';
+    }
 }
 
 void
@@ -130,134 +263,25 @@ writeRunsCsv(const std::vector<RunResult> &runs,
              const std::string &path)
 {
     std::ofstream out(path);
+    writeRunsCsv(runs, out);
+    // Checked after close: a full device fails only at the flush.
+    out.close();
     if (!out)
         fatal("cannot write CSV: ", path);
-    // Fault (serve) columns appear only when some run injected
-    // faults (served a trace) — and then on every row, so mixed
-    // sweeps stay rectangular. Plain sweep CSVs stay byte-identical
-    // to pre-fault/pre-serve output.
-    bool any_faults = false;
-    bool any_serve = false;
-    for (const auto &run : runs) {
-        any_faults = any_faults || run.faults.enabled;
-        any_serve = any_serve || run.serve.enabled;
-    }
-    out << runResultCsvHeader();
-    if (any_faults)
-        out << faultCsvHeaderSuffix();
-    if (any_serve)
-        out << serveCsvHeaderSuffix();
-    out << '\n';
-    for (const auto &run : runs) {
-        out << runResultCsvRow(run);
-        if (any_faults)
-            out << faultCsvRowSuffix(run);
-        if (any_serve)
-            out << serveCsvRowSuffix(run);
-        out << '\n';
-    }
 }
 
 StatSet
 runResultStats(const RunResult &run)
 {
     StatSet stats;
-    stats["cycles"] = static_cast<double>(run.total.cycles);
-    stats["cycles.aggregation"] =
-        static_cast<double>(run.total.aggCycles);
-    stats["cycles.combination"] =
-        static_cast<double>(run.total.combCycles);
-    stats["offchip.lines"] =
-        static_cast<double>(run.total.traffic.totalLines());
-    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
-        const auto cls = static_cast<TrafficClass>(c);
-        stats[std::string("offchip.lines.") + trafficClassName(cls)] =
-            static_cast<double>(run.total.traffic.classLines(cls));
-    }
-    stats["cache.accesses"] =
-        static_cast<double>(run.total.cacheAccesses);
-    stats["cache.hits"] = static_cast<double>(run.total.cacheHits);
-    stats["cache.hit_rate"] = run.cacheHitRate();
-    stats["compute.macs"] = static_cast<double>(run.total.macs);
-    stats["dram.bw_util"] = run.total.bwUtil;
-    stats["energy.compute_j"] = run.energy.computeJ;
-    stats["energy.cache_j"] = run.energy.cacheJ;
-    stats["energy.dram_j"] = run.energy.dramJ;
-    stats["energy.total_j"] = run.energy.total();
-    stats["power.tdp_w"] = run.tdpWatts;
-    stats["area.mm2"] = run.areaMm2;
-    if (run.pipeline.enabled) {
-        stats["pipeline.serial_cycles"] =
-            static_cast<double>(run.pipeline.serialCycles);
-        stats["pipeline.overlap_saved_cycles"] =
-            static_cast<double>(run.pipeline.overlapSavedCycles);
-        stats["pipeline.per_layer_cycles"] =
-            static_cast<double>(run.pipeline.perLayerCycles);
-        stats["pipeline.per_tile_cycles"] =
-            static_cast<double>(run.pipeline.perTileCycles);
-        stats["pipeline.tile_saved_cycles"] =
-            static_cast<double>(run.pipeline.tileSavedCycles);
-        stats["pipeline.steady_advance_cycles"] =
-            static_cast<double>(run.pipeline.steadyStateAdvance);
-    }
-    if (run.shard.enabled) {
-        stats["shard.chips"] = static_cast<double>(run.shard.chips);
-        stats["shard.halo_vertices"] =
-            static_cast<double>(run.shard.haloVertices);
-        stats["shard.exchange_bytes"] =
-            static_cast<double>(run.shard.exchangeBytes);
-        stats["shard.exchange_cycles"] =
-            static_cast<double>(run.shard.exchangeCycles);
-        stats["shard.link_busy_cycles"] =
-            static_cast<double>(run.shard.linkBusyCycles);
-        stats["shard.link_busy_frac"] = run.shard.linkBusyFraction;
-        stats["shard.bottleneck_chip_cycles"] =
-            static_cast<double>(run.shard.bottleneckChipCycles);
-    }
-    if (run.faults.enabled) {
-        stats["fault.link_retries"] =
-            static_cast<double>(run.faults.linkRetries);
-        stats["fault.backoff_cycles"] =
-            static_cast<double>(run.faults.backoffCycles);
-        stats["fault.link_timeouts"] =
-            static_cast<double>(run.faults.timeouts);
-        stats["fault.dram_retries"] =
-            static_cast<double>(run.faults.dramRetries);
-        stats["fault.stall_cycles"] =
-            static_cast<double>(run.faults.stallCycles);
-        stats["fault.recovery_cycles"] =
-            static_cast<double>(run.faults.recoveryCycles);
-        stats["fault.failed_chips"] =
-            static_cast<double>(run.faults.failedChips);
-        stats["fault.surviving_chips"] =
-            static_cast<double>(run.faults.survivingChips);
-        stats["fault.repartitions"] =
-            static_cast<double>(run.faults.repartitions);
-        stats["fault.recovered_layers"] =
-            static_cast<double>(run.faults.recoveredLayers.size());
-    }
-    if (run.serve.enabled) {
-        stats["serve.requests"] =
-            static_cast<double>(run.serve.requests);
-        stats["serve.batches"] =
-            static_cast<double>(run.serve.batches);
-        stats["serve.offered_qps"] = run.serve.offeredQps;
-        stats["serve.sustained_qps"] = run.serve.sustainedQps;
-        stats["serve.p50_cycles"] =
-            static_cast<double>(run.serve.p50Cycles);
-        stats["serve.p95_cycles"] =
-            static_cast<double>(run.serve.p95Cycles);
-        stats["serve.p99_cycles"] =
-            static_cast<double>(run.serve.p99Cycles);
-        stats["serve.mean_batch"] = run.serve.meanOccupancy;
-        stats["serve.peak_batch"] =
-            static_cast<double>(run.serve.peakOccupancy);
-        stats["serve.makespan_cycles"] =
-            static_cast<double>(run.serve.makespanCycles);
-        stats["serve.subgraph_vertices"] =
-            static_cast<double>(run.serve.subgraphVertices);
-        stats["serve.subgraph_edges"] =
-            static_cast<double>(run.serve.subgraphEdges);
+    for (const Column &column : resultColumns()) {
+        if (column.stat.empty() || !sectionOn(run, column.section))
+            continue;
+        const Value value = column.read(run);
+        if (const auto *count = std::get_if<std::uint64_t>(&value))
+            stats[column.stat] = static_cast<double>(*count);
+        else
+            stats[column.stat] = std::get<double>(value);
     }
     return stats;
 }
@@ -391,38 +415,13 @@ writeRunSchedule(std::ofstream &out, const RunResult &run,
     }
 }
 
-const char *
-scheduleCsvHeader(bool recovered_column)
-{
-    return recovered_column
-               ? "accel,dataset,layer,record,name,start,end,ready,"
-                 "recovered\n"
-               : "accel,dataset,layer,record,name,start,end,ready\n";
-}
-
 } // anonymous namespace
-
-void
-writeScheduleCsv(const RunResult &run,
-                 const std::vector<unsigned> &sampled_layers,
-                 const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write schedule CSV: ", path);
-    const bool recovered = !run.faults.recoveredLayers.empty();
-    out << scheduleCsvHeader(recovered);
-    writeRunSchedule(out, run, sampled_layers, recovered);
-}
 
 void
 writeSchedulesCsv(const std::vector<RunResult> &runs,
                   const std::vector<unsigned> &sampled_layers,
                   const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write schedule CSV: ", path);
     // Mirror writeRunsCsv's mixed-sweep policy: when any run
     // recovered, every row carries the column so arity stays uniform.
     bool any_recovered = false;
@@ -430,9 +429,15 @@ writeSchedulesCsv(const std::vector<RunResult> &runs,
         any_recovered =
             any_recovered || !run.faults.recoveredLayers.empty();
     }
-    out << scheduleCsvHeader(any_recovered);
+    std::ofstream out(path);
+    out << "accel,dataset,layer,record,name,start,end,ready"
+        << (any_recovered ? ",recovered\n" : "\n");
     for (const RunResult &run : runs)
         writeRunSchedule(out, run, sampled_layers, any_recovered);
+    // Checked after close: a full device fails only at the flush.
+    out.close();
+    if (!out)
+        fatal("cannot write schedule CSV: ", path);
 }
 
 } // namespace sgcn

@@ -3,11 +3,18 @@
  * Machine-readable result export: CSV rows and a gem5-style StatSet
  * dump for RunResults, so harness outputs can be plotted or diffed
  * without scraping the pretty tables.
+ *
+ * One ordered column table in report.cc lists every exported
+ * quantity once: its section (run, pipeline, shard, fault or serve),
+ * its CSV column name, its --stats key and how to read it from a
+ * RunResult. writeRunsCsv and runResultStats both walk that table,
+ * so a new quantity is one row, not three matching edits.
  */
 
 #ifndef SGCN_ACCEL_REPORT_HH
 #define SGCN_ACCEL_REPORT_HH
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -17,40 +24,19 @@
 namespace sgcn
 {
 
-/** CSV header matching runResultCsvRow(). */
-std::string runResultCsvHeader();
+/** Write runs as CSV (header + one row per run). Run, pipeline and
+ *  shard columns are always present; fault and serve columns are
+ *  added — for every row, so mixed sweeps stay rectangular — when
+ *  any run has the matching section enabled. */
+void writeRunsCsv(const std::vector<RunResult> &runs, std::ostream &out);
 
-/** One CSV row for a run. */
-std::string runResultCsvRow(const RunResult &run);
-
-/** Extra header fragment for fault-injection columns (leading comma
- *  included). Appended by writeRunsCsv only when some run actually
- *  injected faults, so fault-free CSVs stay byte-identical to
- *  pre-fault releases. */
-std::string faultCsvHeaderSuffix();
-
-/** Fault-column values for one run, matching faultCsvHeaderSuffix()
- *  (leading comma included; all-zero columns when the run itself was
- *  fault-free). */
-std::string faultCsvRowSuffix(const RunResult &run);
-
-/** Extra header fragment for serving-trace columns (leading comma
- *  included). Appended by writeRunsCsv only when some run served a
- *  trace, under the same mixed-sweep policy as the fault columns. */
-std::string serveCsvHeaderSuffix();
-
-/** Serve-column values for one run, matching serveCsvHeaderSuffix()
- *  (leading comma included; all-zero columns when the run itself
- *  did not serve). */
-std::string serveCsvRowSuffix(const RunResult &run);
-
-/** Write runs as a CSV file (header + one row per run). Fault and
- *  serve columns are appended — for every row, so mixed sweeps stay
- *  rectangular — when any run has the matching stats enabled. */
+/** writeRunsCsv into a file; exits 1 when the file cannot be opened
+ *  or fully written. */
 void writeRunsCsv(const std::vector<RunResult> &runs,
                   const std::string &path);
 
-/** Flatten a run into named scalar statistics. */
+/** Flatten a run into named scalar statistics: the run section's
+ *  keys always, another section's only when the run has it on. */
 StatSet runResultStats(const RunResult &run);
 
 /** One-line pipelining summary ("" when the run was serial). */
@@ -66,19 +52,15 @@ std::string faultSummaryLine(const RunResult &run);
 std::string serveSummaryLine(const RunResult &run);
 
 /**
- * Write the run's layer schedules as CSV (the ROADMAP Gantt export):
+ * Write the runs' layer schedules as CSV (the ROADMAP Gantt export):
  * one row per phase span and one per tile span of the input layer
- * and every sampled intermediate layer. Columns: accel, dataset,
- * layer (0 = input, else the architectural index), record
+ * and every sampled intermediate layer of each run. Columns: accel,
+ * dataset, layer (0 = input, else the architectural index), record
  * ("phase"/"tile"), name (phase name or tile index), start, end,
- * ready (tile rows only; empty for phases).
+ * ready (tile rows only; empty for phases), and a trailing
+ * "recovered" flag when any run replayed a layer after a chip
+ * failure. Exits 1 when the file cannot be opened or fully written.
  */
-void writeScheduleCsv(const RunResult &run,
-                      const std::vector<unsigned> &sampled_layers,
-                      const std::string &path);
-
-/** writeScheduleCsv over several runs into one file (the accel
- *  column distinguishes them). */
 void writeSchedulesCsv(const std::vector<RunResult> &runs,
                        const std::vector<unsigned> &sampled_layers,
                        const std::string &path);

@@ -7,6 +7,7 @@
 #define SGCN_ACCEL_RESULT_HH
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -375,43 +376,35 @@ struct LayerResult
      *  so extrapolated totals carry the default (empty) schedule. */
     LayerSchedule schedule;
 
+    /** The additive counters besides traffic. merge() and scale()
+     *  walk this one list, so the two cannot drift apart. */
+    static constexpr auto
+    counters()
+    {
+        return std::array{&LayerResult::cycles, &LayerResult::aggCycles,
+                          &LayerResult::combCycles,
+                          &LayerResult::cacheAccesses,
+                          &LayerResult::cacheHits, &LayerResult::macs,
+                          &LayerResult::dramRetries};
+    }
+
     void
     merge(const LayerResult &other)
     {
-        cycles += other.cycles;
-        aggCycles += other.aggCycles;
-        combCycles += other.combCycles;
+        for (auto counter : counters())
+            this->*counter += other.*counter;
         traffic.merge(other.traffic);
-        cacheAccesses += other.cacheAccesses;
-        cacheHits += other.cacheHits;
-        macs += other.macs;
-        dramRetries += other.dramRetries;
     }
 
     /** Scale all additive quantities by @p factor. */
     void
     scale(double factor)
     {
-        cycles = static_cast<Cycle>(static_cast<double>(cycles) *
-                                    factor);
-        aggCycles = static_cast<Cycle>(
-            static_cast<double>(aggCycles) * factor);
-        combCycles = static_cast<Cycle>(
-            static_cast<double>(combCycles) * factor);
-        for (unsigned i = 0; i < kNumTrafficClasses; ++i) {
-            traffic.readLines[i] = static_cast<std::uint64_t>(
-                static_cast<double>(traffic.readLines[i]) * factor);
-            traffic.writeLines[i] = static_cast<std::uint64_t>(
-                static_cast<double>(traffic.writeLines[i]) * factor);
+        for (auto counter : counters()) {
+            this->*counter = static_cast<std::uint64_t>(
+                static_cast<double>(this->*counter) * factor);
         }
-        cacheAccesses = static_cast<std::uint64_t>(
-            static_cast<double>(cacheAccesses) * factor);
-        cacheHits = static_cast<std::uint64_t>(
-            static_cast<double>(cacheHits) * factor);
-        macs = static_cast<std::uint64_t>(
-            static_cast<double>(macs) * factor);
-        dramRetries = static_cast<std::uint64_t>(
-            static_cast<double>(dramRetries) * factor);
+        traffic.scale(factor);
     }
 };
 

@@ -90,6 +90,18 @@ struct TrafficCounters
             writeLines[i] += other.writeLines[i];
         }
     }
+
+    /** Scale every counter by @p factor, truncating. */
+    void
+    scale(double factor)
+    {
+        for (unsigned i = 0; i < kNumTrafficClasses; ++i) {
+            readLines[i] = static_cast<std::uint64_t>(
+                static_cast<double>(readLines[i]) * factor);
+            writeLines[i] = static_cast<std::uint64_t>(
+                static_cast<double>(writeLines[i]) * factor);
+        }
+    }
 };
 
 } // namespace sgcn

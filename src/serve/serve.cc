@@ -198,9 +198,13 @@ tryServeTrace(const AccelConfig &config, const Dataset &dataset,
             faults.dramRetries += bf.dramRetries;
             faults.stallCycles += bf.stallCycles;
             faults.recoveryCycles += bf.recoveryCycles;
-            faults.failedChips += bf.failedChips;
-            faults.survivingChips = bf.survivingChips;
             faults.repartitions += bf.repartitions;
+            // Every batch replays the same deterministic chip-fail
+            // clauses, so the machine's end state is any batch's:
+            // event counters sum, the topology does not.
+            faults.failedChips = bf.failedChips;
+            faults.survivingChips = bf.survivingChips;
+            faults.recoveredLayers = bf.recoveredLayers;
         }
     }
     stats.makespanCycles = prev_end;

@@ -8,20 +8,6 @@
 namespace sgcn
 {
 
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = values.find(name);
-    return it == values.end() ? 0.0 : it->second;
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[name, value] : other.values)
-        values[name] += value;
-}
-
 std::string
 StatSet::dump(const std::string &indent) const
 {

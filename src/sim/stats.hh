@@ -27,12 +27,6 @@ class StatSet
     /** Mutable access; creates the stat at zero if absent. */
     double &operator[](const std::string &name) { return values[name]; }
 
-    /** Read-only access; returns 0 for absent stats. */
-    double get(const std::string &name) const;
-
-    /** Add every entry of @p other into this set. */
-    void merge(const StatSet &other);
-
     /** All entries in name order. */
     const std::map<std::string, double> &entries() const
     {
@@ -41,9 +35,6 @@ class StatSet
 
     /** Render as "name = value" lines with the given indent. */
     std::string dump(const std::string &indent = "") const;
-
-    /** Remove all entries. */
-    void clear() { values.clear(); }
 
   private:
     std::map<std::string, double> values;

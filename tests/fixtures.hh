@@ -14,7 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "accel/personalities.hh"
+#include "accel/report.hh"
 #include "accel/result.hh"
 #include "graph/datasets.hh"
 
@@ -129,6 +132,15 @@ expectRunIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.energy.dramJ, b.energy.dramJ);
     EXPECT_EQ(a.tdpWatts, b.tdpWatts);
     EXPECT_EQ(a.areaMm2, b.areaMm2);
+}
+
+/** The CSV writeRunsCsv writes for @p runs. */
+inline std::string
+csvText(const std::vector<RunResult> &runs)
+{
+    std::ostringstream os;
+    writeRunsCsv(runs, os);
+    return os.str();
 }
 
 } // namespace sgcn::testfx

@@ -379,6 +379,14 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
     ASSERT_EQ(setenv("SGCN_BENCH_SCALE", "banana", 1), 0);
     EXPECT_EQ(runSim("datasets"), 1);
     unsetenv("SGCN_BENCH_SCALE");
+
+    // A short write is a runtime error too, not a "wrote PATH".
+    for (const char *args :
+         {"run --dataset CR --accels SGCN --scale 0.08 --csv /dev/full",
+          "run --dataset CR --accels SGCN --scale 0.08 "
+          "--export-schedule /dev/full"}) {
+        EXPECT_EQ(runSim(args), 1) << args;
+    }
 }
 
 TEST(BenchCli, ExitCodesDistinguishUsageFromBadValues)

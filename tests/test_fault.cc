@@ -177,8 +177,7 @@ TEST_F(FaultRuns, TimelineAndCsvAreJobsInvariant)
         const RunResult b = runNetwork(makeSgcn(), cora, net, fanned);
         expectRunIdentical(a, b);
         expectFaultStatsIdentical(a.faults, b.faults);
-        EXPECT_EQ(runResultCsvRow(a) + faultCsvRowSuffix(a),
-                  runResultCsvRow(b) + faultCsvRowSuffix(b));
+        EXPECT_EQ(testfx::csvText({a}), testfx::csvText({b}));
     }
 }
 
@@ -225,9 +224,10 @@ TEST_F(FaultRuns, EmptyPlanIsBitIdenticalToTheFaultFreeBuild)
     const RunResult b = runNetwork(makeSgcn(), cora, net, empty_plan);
     expectRunIdentical(a, b);
     EXPECT_FALSE(b.faults.enabled);
-    // The CSV stays in the pre-fault shape: suffix columns are only
+    // The CSV stays in the pre-fault shape: fault columns are only
     // ever appended for runs that injected something.
-    EXPECT_EQ(runResultCsvRow(a), runResultCsvRow(b));
+    EXPECT_EQ(testfx::csvText({a}), testfx::csvText({b}));
+    EXPECT_EQ(testfx::csvText({b}).find("fault"), std::string::npos);
 }
 
 // --------------------------------------------------------------

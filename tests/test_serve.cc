@@ -16,8 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
-#include "accel/report.hh"
 #include "fixtures.hh"
 #include "graph/sampler.hh"
 #include "serve/serve.hh"
@@ -276,8 +276,7 @@ TEST(ServeTrace, BitIdenticalAcrossJobCounts)
     expectServeStatsIdentical(serial.serve, threaded.serve);
     testfx::expectCountsIdentical(serial.total, threaded.total);
     EXPECT_EQ(serial.total.cycles, threaded.total.cycles);
-    EXPECT_EQ(serveCsvRowSuffix(serial),
-              serveCsvRowSuffix(threaded));
+    EXPECT_EQ(testfx::csvText({serial}), testfx::csvText({threaded}));
 
     // Sanity on the aggregate shape: every request is charged a
     // positive latency and occupancy respects the caps.
@@ -319,6 +318,34 @@ TEST(ServeTrace, FaultPlanReplaysIdenticalTail)
     EXPECT_GT(first.serve.p99Cycles, base.serve.p99Cycles);
 }
 
+TEST(ServeTrace, ChipFailReportsTheEndTopologyOnce)
+{
+    // Every batch replays the same chip-fail clause, so the served
+    // trace ends on the topology a single run ends on: the failed
+    // and surviving chips and the replayed layers are any batch's,
+    // while the repartition events sum over batches.
+    const Dataset dataset = testfx::cora();
+    NetworkSpec net;
+    net.layers = 8;
+    RunOptions opts = serveRunOptions(2);
+    opts.chips = 4;
+    opts.faults = FaultPlan::parse("chip-fail:chip1@layer2").orFatal();
+
+    const RunResult single =
+        tryRunNetwork(makeSgcn(), dataset, net, opts).value();
+    const RunResult served =
+        serveTrace(makeSgcn(), dataset, net, opts, smallTrace());
+    ASSERT_EQ(single.faults.failedChips, 1u);
+    EXPECT_EQ(served.faults.failedChips, single.faults.failedChips);
+    EXPECT_EQ(served.faults.survivingChips,
+              single.faults.survivingChips);
+    EXPECT_EQ(served.faults.recoveredLayers,
+              single.faults.recoveredLayers);
+    EXPECT_EQ(served.faults.failedChips + served.faults.survivingChips,
+              served.shard.chips);
+    EXPECT_EQ(served.faults.repartitions, served.serve.batches);
+}
+
 TEST(ServeTrace, CsvAppendsServeColumnsForMixedSweeps)
 {
     const Dataset dataset = testfx::cora();
@@ -330,19 +357,19 @@ TEST(ServeTrace, CsvAppendsServeColumnsForMixedSweeps)
     plain.accelName = "GCNAX";
     plain.datasetAbbrev = "CR";
 
-    const std::string header =
-        runResultCsvHeader() + serveCsvHeaderSuffix();
-    const std::string served_row =
-        runResultCsvRow(served) + serveCsvRowSuffix(served);
-    const std::string plain_row =
-        runResultCsvRow(plain) + serveCsvRowSuffix(plain);
+    std::istringstream csv(testfx::csvText({served, plain}));
+    std::string header, served_row, plain_row;
+    std::getline(csv, header);
+    std::getline(csv, served_row);
+    std::getline(csv, plain_row);
     const auto commas = [](const std::string &s) {
         return std::count(s.begin(), s.end(), ',');
     };
+    EXPECT_NE(header.find(",serve_requests,"), std::string::npos);
     EXPECT_EQ(commas(header), commas(served_row));
     EXPECT_EQ(commas(header), commas(plain_row));
     // A non-serving run reports empty arrival kind and zero counts.
-    EXPECT_NE(plain_row.find(",0,0,,"), std::string::npos);
+    EXPECT_TRUE(plain_row.ends_with(",0,0,,0,0,0,0,0,0,0,0,0,0,0,0"));
     EXPECT_NE(served_row.find(",poisson,"), std::string::npos);
 }
 
