@@ -32,10 +32,11 @@ enum class ExecutionMode
 
 /**
  * The three dataflow shapes covering the compared personalities
- * (Table I). Each value keys a strategy in the dataflow registry
- * (src/accel/dataflow/registry.hh); adding a personality with a new
- * dataflow means adding a strategy file and a registry entry, not
- * editing the layer engine.
+ * (Table I). Each value has one function in
+ * src/accel/dataflow/dataflows.hh and one case in the switch of
+ * LayerEngine::run; adding a personality with a new dataflow means
+ * adding a dataflow file, a value here and that case. The switch has
+ * no default, so a value without a case fails the -Werror build.
  */
 enum class DataflowKind : std::uint8_t
 {

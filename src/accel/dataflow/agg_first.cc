@@ -1,4 +1,4 @@
-#include "accel/dataflow/agg_first.hh"
+#include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
 
@@ -8,17 +8,11 @@
 namespace sgcn
 {
 
-void
-AggFirstDataflow::run(EngineContext &ec, LayerResult &result) const
+namespace
 {
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
-}
 
 void
-AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
+runFast(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -72,7 +66,7 @@ AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
         result.aggCycles += phase.aggTime;
         result.combCycles += phase.combTime;
     }
-    ec.mem->cache().unpinAll();
+    ec.cache.unpinAll();
     result.cycles = EngineContext::pipelineTiles(tiles);
 
     // Phase timeline under the tile pipeline: aggregation streams
@@ -109,8 +103,7 @@ AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
 }
 
 void
-AggFirstDataflow::runTiming(EngineContext &ec,
-                            LayerResult &result) const
+runTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -200,6 +193,17 @@ AggFirstDataflow::runTiming(EngineContext &ec,
                            ctl->tileTraces.readyCycles(base));
     result.schedule.sequentialInput = false;
     ctl->release();
+}
+
+} // namespace
+
+void
+runAggFirst(EngineContext &ec, LayerResult &result)
+{
+    if (ec.mode == ExecutionMode::Fast)
+        runFast(ec, result);
+    else
+        runTiming(ec, result);
 }
 
 } // namespace sgcn

@@ -1,4 +1,4 @@
-#include "accel/dataflow/column_product.hh"
+#include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
 #include <memory>
@@ -41,22 +41,8 @@ synthesizeColumnProductSpans(LayerSchedule &schedule, unsigned strips)
     schedule.sequentialInput = true;
 }
 
-} // namespace
-
 void
-ColumnProductDataflow::run(EngineContext &ec, LayerResult &result) const
-{
-    SGCN_ASSERT(ec.psumBuffer,
-                "column product requires accumulator banks");
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
-}
-
-void
-ColumnProductDataflow::runFast(EngineContext &ec,
-                               LayerResult &result) const
+runFast(EngineContext &ec, LayerResult &result)
 {
     const CsrGraph &graph = *ec.layer.graph;
     const VertexId n = graph.numVertices();
@@ -215,8 +201,7 @@ ColumnProductDataflow::runFast(EngineContext &ec,
 }
 
 void
-ColumnProductDataflow::runTiming(EngineContext &ec,
-                                 LayerResult &result) const
+runTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -287,6 +272,19 @@ ColumnProductDataflow::runTiming(EngineContext &ec,
     result.schedule.aggregation = {0, agg_end - start};
     result.schedule.outputDrain = {drain_start - start, result.cycles};
     synthesizeColumnProductSpans(result.schedule, strips);
+}
+
+} // namespace
+
+void
+runColumnProduct(EngineContext &ec, LayerResult &result)
+{
+    SGCN_ASSERT(ec.psumBuffer,
+                "column product requires accumulator banks");
+    if (ec.mode == ExecutionMode::Fast)
+        runFast(ec, result);
+    else
+        runTiming(ec, result);
 }
 
 } // namespace sgcn

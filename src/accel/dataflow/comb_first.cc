@@ -1,4 +1,4 @@
-#include "accel/dataflow/comb_first.hh"
+#include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
 
@@ -21,19 +21,8 @@ skipSparseInput(const EngineContext &ec)
            ec.cfg.firstLayerSparseInput;
 }
 
-} // namespace
-
 void
-CombFirstDataflow::run(EngineContext &ec, LayerResult &result) const
-{
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
-}
-
-void
-CombFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
+runFast(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -104,7 +93,7 @@ CombFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
         result.combCycles += phase.combTime;
     }
 
-    ec.mem->cache().unpinAll();
+    ec.cache.unpinAll();
     result.cycles = comb_time + EngineContext::pipelineTiles(tiles);
 
     // Phase timeline: the streaming combination runs first, the
@@ -137,8 +126,7 @@ CombFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
 }
 
 void
-CombFirstDataflow::runTiming(EngineContext &ec,
-                             LayerResult &result) const
+runTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -221,7 +209,7 @@ CombFirstDataflow::runTiming(EngineContext &ec,
     });
     ctl->dmas.push_back(phase1);
     ec.events.run();
-    ec.mem->cache().unpinAll();
+    ec.cache.unpinAll();
     result.cycles = ec.events.now() - ec.layerBase;
     result.schedule.combination = ctl->combTrace.span(ec.layerBase);
     result.schedule.aggregation = ctl->aggTrace.span(ec.layerBase);
@@ -244,6 +232,17 @@ CombFirstDataflow::runTiming(EngineContext &ec,
         ctl->tileTraces.readyCycles(ec.layerBase));
     result.schedule.sequentialInput = true;
     ctl->release();
+}
+
+} // namespace
+
+void
+runCombFirst(EngineContext &ec, LayerResult &result)
+{
+    if (ec.mode == ExecutionMode::Fast)
+        runFast(ec, result);
+    else
+        runTiming(ec, result);
 }
 
 } // namespace sgcn

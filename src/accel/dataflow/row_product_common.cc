@@ -65,7 +65,6 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
             }
         }
 
-        const Cache &shared = ec.mem->cache();
         const FeatureLayout::SlicePlan *table = layout.sliceTable();
         for (unsigned s = 0; s < slices; ++s) {
             // Distance-1 software pipeline over the tile's pick
@@ -103,16 +102,17 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                             Addr line = npe.addr;
                             for (std::uint32_t j = 0; j < npe.lines;
                                  ++j, line += kCachelineBytes)
-                                shared.prefetchSet(line);
+                                ec.cache.prefetchSet(line);
                         }
                     }
                     if (pe.lines !=
                         FeatureLayout::SlicePlan::kMultiRun) {
-                        ec.cacheRun(pe.addr, pe.lines, MemOp::Read,
-                                    cls);
+                        ec.cache.accessRunFunctional(
+                            pe.addr, pe.lines, MemOp::Read, cls);
                     } else {
-                        ec.cachePlan(layout.planSliceRead(picks[i], s),
-                                     MemOp::Read, cls);
+                        ec.cache.accessPlanFunctional(
+                            layout.planSliceRead(picks[i], s),
+                            MemOp::Read, cls);
                     }
                     compute += std::max<Cycle>(
                         1, divCeil(pe.values, ec.cfg.simdLanes));

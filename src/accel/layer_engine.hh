@@ -13,12 +13,12 @@
  *    bounded outstanding-request windows through the timing cache
  *    and the banked HBM model; cycles are event time.
  *
- * The actual dataflow simulation lives in the strategy layer
- * (src/accel/dataflow/): LayerEngine owns the shared EngineContext,
- * picks the strategy for the personality's DataflowKind from the
- * registry (with the input-layer override of SIII-A: row-product
- * personalities run their input layer combination-first), and
- * finalizes the mode-independent statistics.
+ * The dataflow simulation itself lives in src/accel/dataflow/
+ * (dataflows.hh): LayerEngine owns the shared EngineContext, calls
+ * the function for the effective DataflowKind from a switch (with
+ * the input-layer override of SIII-A: row-product personalities run
+ * their input layer combination-first), and finalizes the
+ * mode-independent statistics.
  */
 
 #ifndef SGCN_ACCEL_LAYER_ENGINE_HH
@@ -43,8 +43,7 @@ class LayerEngine
     /** Dataflow a personality executes for a layer: the configured
      *  kind, except that row-product personalities run their input
      *  layer combination-first (SIII-A). The single source of the
-     *  override policy — callers that pre-validate registry entries
-     *  (runner.cc) derive from this too. */
+     *  override policy. */
     static DataflowKind effectiveDataflow(const AccelConfig &config,
                                           bool is_input_layer);
 

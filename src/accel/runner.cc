@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "accel/dataflow/registry.hh"
 #include "accel/interconnect/exchange.hh"
 #include "accel/layer_engine.hh"
 #include "accel/pipeline/layer_pipeline.hh"
@@ -180,13 +179,6 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
                          "chips must be at least 1 (got 0): a run "
                          "needs an accelerator to run on");
     }
-
-    // Fail early, by name, if any dataflow this run will execute is
-    // missing from the registry (the input layer may run a different
-    // strategy than the configured kind, SIII-A).
-    dataflowFor(LayerEngine::effectiveDataflow(config, false));
-    if (opts.includeInputLayer)
-        dataflowFor(LayerEngine::effectiveDataflow(config, true));
 
     RunResult run;
     run.accelName = config.name;
@@ -497,15 +489,6 @@ tryRunAll(const std::vector<AccelConfig> &configs,
           const Dataset &dataset, const NetworkSpec &net,
           const RunOptions &opts)
 {
-    // Resolve every dataflow before fanning out: registration is
-    // startup-only (see dataflow/registry.hh), so a missing strategy
-    // should fail on the caller thread, not inside a worker.
-    for (const auto &config : configs) {
-        dataflowFor(LayerEngine::effectiveDataflow(config, false));
-        if (opts.includeInputLayer)
-            dataflowFor(LayerEngine::effectiveDataflow(config, true));
-    }
-
     // Per-index error slots keep the fan-out lock-free and make the
     // reported error deterministic (lowest failing index) at any
     // --jobs value.
@@ -519,8 +502,6 @@ tryRunAll(const std::vector<AccelConfig> &configs,
         else
             errors[i] = std::make_unique<SgcnError>(r.error());
     });
-    if (opts.releaseArtifacts)
-        clearSweepArtifacts();
     for (const auto &err : errors) {
         if (err)
             return *err;

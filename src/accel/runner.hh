@@ -87,16 +87,6 @@ struct RunOptions
     unsigned jobs = 1;
 
     /**
-     * Drop the process-wide sweep memos (StreamArtifactCache and
-     * PreprocessCache) when runAll returns. Off by default: a sweep
-     * driver calling runAll once per dataset wants the artifacts to
-     * persist across calls — that sharing is the point of the caches.
-     * Turn it on for the last runAll of a sweep (or in long-lived
-     * hosts embedding the library) to bound the resident footprint.
-     */
-    bool releaseArtifacts = false;
-
-    /**
      * Simulated accelerator chips, at least 1 (0 is an
      * InvalidArgument error). The run partitions the graph with
      * partitionPolicy, runs every layer on all chips concurrently
@@ -137,7 +127,10 @@ struct RunOptions
  * (masks, prepared layouts, tile views, degree orders, SAGE
  * fractions) and the preprocess cache (reordered topologies).
  * Outstanding shared handles stay valid; later runs recompute.
- * runAll calls this when RunOptions::releaseArtifacts is set.
+ * The memos persist across runAll calls on purpose (a sweep that
+ * calls runAll once per dataset shares them); call this after a
+ * sweep's last runAll, or in a long-lived host embedding the
+ * library, to bound the resident footprint.
  */
 void clearSweepArtifacts();
 

@@ -111,18 +111,18 @@ TimingAgg::tryIssue(unsigned e)
         // closures when the item carries both.
         if (item.topo.numRuns > 0 && item.feat.numRuns > 0) {
             BurstPool::Node *join = joins.join(2, std::move(on_item));
-            ec.mem->dram().accessBurst(item.topo, MemOp::Read,
-                                       TrafficClass::Topology,
-                                       BurstPool::part(join));
-            ec.mem->accessPlan(item.feat, MemOp::Read, cls,
-                               BurstPool::part(join));
+            ec.dram.accessBurst(item.topo, MemOp::Read,
+                                TrafficClass::Topology,
+                                BurstPool::part(join));
+            ec.cache.accessBurst(item.feat, MemOp::Read, cls,
+                                 BurstPool::part(join));
         } else if (item.topo.numRuns > 0) {
-            ec.mem->dram().accessBurst(item.topo, MemOp::Read,
-                                       TrafficClass::Topology,
-                                       std::move(on_item));
+            ec.dram.accessBurst(item.topo, MemOp::Read,
+                                TrafficClass::Topology,
+                                std::move(on_item));
         } else {
-            ec.mem->accessPlan(item.feat, MemOp::Read, cls,
-                               std::move(on_item));
+            ec.cache.accessBurst(item.feat, MemOp::Read, cls,
+                                 std::move(on_item));
         }
     }
 }

@@ -100,9 +100,9 @@ TimingPsum::tryIssue(unsigned e)
         // accumulator banks, exactly as the per-line path issued.
         if (topo.numRuns > 0) {
             BurstPool::Node *join = joins.join(2, std::move(on_item));
-            ec.mem->dram().accessBurst(topo, MemOp::Read,
-                                       TrafficClass::Topology,
-                                       BurstPool::part(join));
+            ec.dram.accessBurst(topo, MemOp::Read,
+                                TrafficClass::Topology,
+                                BurstPool::part(join));
             ec.psumBuffer->accessBurstRmw(strip_plan,
                                           TrafficClass::PartialSum,
                                           BurstPool::part(join));

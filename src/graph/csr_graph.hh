@@ -225,8 +225,8 @@ class CsrGraph
     /** Packed column-index array (decode-on-access). */
     const PackedIndexArray &columnIndices() const { return colIdx; }
 
-    /** Decoded uint32 copy of the column indices (binary snapshots
-     *  and other raw-array consumers). */
+    /** Decoded uint32 copy of the column indices, for raw-array
+     *  consumers (the packed-vs-unpacked scan benchmark). */
     std::vector<VertexId>
     unpackedColumns() const
     {

@@ -1,9 +1,9 @@
 #include "graph/io.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace sgcn
@@ -17,6 +17,8 @@ loadEdgeList(const std::string &path, VertexId num_vertices,
     if (!in)
         return makeError(ErrorCode::IoError,
                          "cannot open edge list: ", path);
+    constexpr std::int64_t kIdLimit =
+        std::numeric_limits<VertexId>::max();
 
     std::vector<EdgePair> edges;
     VertexId max_id = 0;
@@ -27,11 +29,19 @@ loadEdgeList(const std::string &path, VertexId num_vertices,
         if (line.empty() || line[0] == '#' || line[0] == '%')
             continue;
         std::istringstream fields(line);
-        std::uint64_t src, dst;
+        std::int64_t src, dst;
         if (!(fields >> src >> dst)) {
             return makeError(ErrorCode::CorruptData,
                              "malformed edge at ", path, ":", line_no,
                              ": '", line, "'");
+        }
+        // Signed reads so "-3" is caught instead of wrapping; ids
+        // stop one short of the VertexId range so max id + 1 fits.
+        if (src < 0 || dst < 0 || src >= kIdLimit || dst >= kIdLimit) {
+            return makeError(ErrorCode::CorruptData,
+                             "vertex id out of range at ", path, ":",
+                             line_no, ": '", line, "' (ids must be in "
+                             "[0, ", kIdLimit - 1, "])");
         }
         edges.emplace_back(static_cast<VertexId>(src),
                            static_cast<VertexId>(dst));
@@ -63,117 +73,12 @@ saveEdgeList(const CsrGraph &graph, const std::string &path)
                 out << v << ' ' << u << '\n';
         }
     }
-    return Status::success();
-}
-
-namespace
-{
-constexpr char kMagic[8] = {'S', 'G', 'C', 'N', 'C', 'S', 'R', '1'};
-} // namespace
-
-Status
-saveCsrBinary(const CsrGraph &graph, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
+    // Checked after close: a full device fails only at the flush.
+    out.close();
     if (!out)
         return makeError(ErrorCode::IoError,
-                         "cannot write CSR snapshot: ", path);
-    out.write(kMagic, sizeof(kMagic));
-    const std::uint64_t n = graph.numVertices();
-    const std::uint64_t m = graph.numEdges();
-    out.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    out.write(reinterpret_cast<const char *>(&m), sizeof(m));
-    out.write(reinterpret_cast<const char *>(
-                  graph.rowPointers().data()),
-              static_cast<std::streamsize>((n + 1) * sizeof(EdgeId)));
-    const std::vector<VertexId> col_idx = graph.unpackedColumns();
-    out.write(reinterpret_cast<const char *>(col_idx.data()),
-              static_cast<std::streamsize>(m * sizeof(VertexId)));
+                         "cannot write edge list: ", path);
     return Status::success();
-}
-
-Expected<CsrGraph>
-loadCsrBinary(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return makeError(ErrorCode::IoError,
-                         "cannot open CSR snapshot: ", path);
-    char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in || std::memcmp(magic, kMagic, sizeof(magic)) != 0)
-        return makeError(ErrorCode::CorruptData,
-                         "not an SGCN CSR snapshot: ", path);
-    std::uint64_t n = 0, m = 0;
-    in.read(reinterpret_cast<char *>(&n), sizeof(n));
-    in.read(reinterpret_cast<char *>(&m), sizeof(m));
-    if (!in || n == 0)
-        return makeError(ErrorCode::CorruptData,
-                         "corrupt CSR snapshot header: ", path);
-
-    // Validate the declared sizes against the actual payload length
-    // BEFORE allocating anything: a corrupted header must not drive
-    // a multi-gigabyte allocation or a short read into zero-filled
-    // arrays.
-    const std::streamoff body_start = in.tellg();
-    in.seekg(0, std::ios::end);
-    const std::streamoff body_bytes = in.tellg() - body_start;
-    in.seekg(body_start, std::ios::beg);
-    const std::uint64_t expected =
-        (n + 1) * sizeof(EdgeId) + m * sizeof(VertexId);
-    if (body_bytes < 0 ||
-        static_cast<std::uint64_t>(body_bytes) < expected) {
-        return makeError(ErrorCode::CorruptData,
-                         "truncated CSR snapshot: ", path, " (",
-                         expected, " payload bytes declared, ",
-                         body_bytes, " present)");
-    }
-
-    std::vector<EdgeId> row_ptr(n + 1);
-    std::vector<VertexId> col_idx(m);
-    in.read(reinterpret_cast<char *>(row_ptr.data()),
-            static_cast<std::streamsize>((n + 1) * sizeof(EdgeId)));
-    in.read(reinterpret_cast<char *>(col_idx.data()),
-            static_cast<std::streamsize>(m * sizeof(VertexId)));
-    if (!in)
-        return makeError(ErrorCode::CorruptData,
-                         "corrupt CSR snapshot body: ", path);
-
-    // Cross-check the CSR structure itself: monotone row pointers
-    // covering exactly m edges, every column id in range.
-    if (row_ptr.front() != 0 || row_ptr.back() != m) {
-        return makeError(ErrorCode::CorruptData,
-                         "corrupt CSR snapshot row pointers: ", path);
-    }
-    for (std::uint64_t v = 0; v < n; ++v) {
-        if (row_ptr[v] > row_ptr[v + 1]) {
-            return makeError(ErrorCode::CorruptData,
-                             "corrupt CSR snapshot: ", path,
-                             " (row pointers not monotone at vertex ",
-                             v, ")");
-        }
-    }
-    for (std::uint64_t e = 0; e < m; ++e) {
-        if (col_idx[e] >= n) {
-            return makeError(ErrorCode::CorruptData,
-                             "corrupt CSR snapshot: ", path,
-                             " (column id ", col_idx[e], " >= ", n,
-                             " at edge ", e, ")");
-        }
-    }
-
-    // Rebuild through the edge-list constructor so normalization and
-    // invariants are re-established.
-    std::vector<EdgePair> edges;
-    edges.reserve(m);
-    for (VertexId v = 0; v < n; ++v) {
-        for (EdgeId e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
-            if (col_idx[e] != v)
-                edges.emplace_back(v, col_idx[e]);
-        }
-    }
-    return CsrGraph(static_cast<VertexId>(n), std::move(edges), false,
-                    true);
 }
 
 } // namespace sgcn

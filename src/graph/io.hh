@@ -1,7 +1,7 @@
 /**
  * @file
  * Graph file I/O: plain edge-list text files (one "src dst" pair per
- * line, '#' comments) and a compact binary CSR snapshot format.
+ * line, '#' comments).
  *
  * The synthetic stand-ins (datasets.hh) drive the bundled
  * experiments, but a user with the original Planetoid/SNAP/OGB
@@ -28,26 +28,17 @@ namespace sgcn
  * Load an edge-list text file.
  *
  * Lines: "src dst" (whitespace separated). Lines starting with '#'
- * or '%' are comments. Vertex ids are zero-based; the vertex count
- * is max id + 1 unless @p num_vertices overrides it.
+ * or '%' are comments. Vertex ids are zero-based and below 2^32 - 1
+ * (a negative or larger id is CorruptData naming path:line); the
+ * vertex count is max id + 1 unless @p num_vertices overrides it.
  */
 Expected<CsrGraph> loadEdgeList(const std::string &path,
                                 VertexId num_vertices = 0,
                                 bool undirected = true);
 
-/** Write a graph as an edge-list text file (self loops skipped). */
+/** Write a graph as an edge-list text file (self loops skipped);
+ *  IoError when the file cannot be opened or fully written. */
 Status saveEdgeList(const CsrGraph &graph, const std::string &path);
-
-/**
- * Save / load the compact binary CSR snapshot (magic "SGCNCSR1",
- * then n, m, row pointers, column indices; weights are rebuilt from
- * the normalization on load). The loader validates the header
- * against the file size and the row pointers / column ids against
- * each other before touching the payload, so truncated or corrupt
- * snapshots come back as CorruptData instead of crashing.
- */
-Status saveCsrBinary(const CsrGraph &graph, const std::string &path);
-Expected<CsrGraph> loadCsrBinary(const std::string &path);
 
 } // namespace sgcn
 

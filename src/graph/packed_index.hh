@@ -271,7 +271,7 @@ class PackedIndexArray
     PackedIndexIterator begin() const { return all().begin(); }
     PackedIndexIterator end() const { return all().end(); }
 
-    /** Decoded copy (binary snapshots, format interop). */
+    /** Decoded copy (CsrGraph::unpackedColumns). */
     std::vector<VertexId>
     unpacked() const
     {

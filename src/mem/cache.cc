@@ -753,11 +753,4 @@ Cache::flush()
     lastFunctionalAddr = ~Addr{0};
 }
 
-void
-Cache::resetStats()
-{
-    statCounters = CacheStats{};
-    functionalTraffic = TrafficCounters{};
-}
-
 } // namespace sgcn

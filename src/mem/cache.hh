@@ -211,9 +211,6 @@ class Cache
     /** The active configuration. */
     const CacheConfig &config() const { return cfg; }
 
-    /** Reset statistics (not cache contents). */
-    void resetStats();
-
   private:
     /** Sentinel tag for an invalid line. Tags are 32-bit: the
      *  modeled address space ends below 4 GB (AddressMap), so real

@@ -377,14 +377,4 @@ Dram::bandwidthUtilization(Cycle window) const
     return static_cast<double>(busBusy) / capacity;
 }
 
-void
-Dram::resetStats()
-{
-    counters = TrafficCounters{};
-    rowHitCount = 0;
-    rowMissCount = 0;
-    busBusy = 0;
-    retryCount = 0;
-}
-
 } // namespace sgcn

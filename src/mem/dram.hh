@@ -174,9 +174,6 @@ class Dram
     /** The active configuration. */
     const DramConfig &config() const { return cfg; }
 
-    /** Reset statistics (not bank state). */
-    void resetStats();
-
   private:
     struct Pending
     {

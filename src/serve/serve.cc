@@ -259,8 +259,6 @@ tryServeAll(const std::vector<AccelConfig> &configs,
             return run.error();
         results.push_back(std::move(run.value()));
     }
-    if (opts.releaseArtifacts)
-        clearSweepArtifacts();
     return results;
 }
 

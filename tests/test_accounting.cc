@@ -71,6 +71,35 @@ TEST_F(TinyFixture, WeightStreamIsExact)
               16u * 1024 / 64);
 }
 
+TEST_F(TinyFixture, OffChipTrafficSumsEverySource)
+{
+    // One source per traffic class: a timing DRAM read, a functional
+    // fill of the shared cache, a psum-bank fill and a fast-mode
+    // stream. The layer totals and the roofline snapshot both read
+    // this one sum.
+    AccelConfig config = makeAwbGcn();
+    LayerContext ctx = makeContext(config, 0.0);
+    EngineContext ec(config, ctx);
+    ASSERT_NE(ec.psumBuffer, nullptr);
+    ec.dram.access(
+        MemRequest{1 << 20, MemOp::Read, TrafficClass::Topology},
+        nullptr);
+    ec.events.run();
+    ec.cache.accessFunctional(
+        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
+    ec.psumBuffer->accessFunctional(
+        MemRequest{0, MemOp::Read, TrafficClass::PartialSum});
+    ec.fastStreamTraffic.add(MemOp::Read, TrafficClass::Weight, 3);
+
+    const TrafficCounters total = ec.offChipTraffic();
+    EXPECT_EQ(total.classLines(TrafficClass::Topology), 1u);
+    EXPECT_EQ(total.classLines(TrafficClass::FeatureIn), 1u);
+    EXPECT_EQ(total.classLines(TrafficClass::PartialSum), 1u);
+    EXPECT_EQ(total.classLines(TrafficClass::Weight), 3u);
+    EXPECT_EQ(total.totalLines(), 6u);
+    EXPECT_EQ(ec.snapshot().dramLines, total.totalLines());
+}
+
 TEST_F(TinyFixture, ResidualStreamsAreExact)
 {
     AccelConfig config = makeGcnax();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Edge cases and failure-injection tests across modules: degenerate
- * graphs, extreme widths/sparsities, stat resets, and API misuse
+ * graphs, extreme widths/sparsities, bookkeeping, and API misuse
  * guards (death tests on panic paths).
  */
 
@@ -12,7 +12,7 @@
 #include "formats/dense.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
-#include "mem/memory_system.hh"
+#include "mem/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -135,34 +135,8 @@ TEST(EdgeCases, CompressorWidthSmallerThanSlice)
 }
 
 // ---------------------------------------------------------------------
-// Stat resets and bookkeeping
+// Bookkeeping
 // ---------------------------------------------------------------------
-
-TEST(EdgeCases, CacheResetStats)
-{
-    EventQueue events;
-    Dram dram(DramConfig::hbm2(), events);
-    CacheConfig config;
-    Cache cache(config, dram, events);
-    cache.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    cache.resetStats();
-    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
-    EXPECT_EQ(cache.functionalDramTraffic().totalLines(), 0u);
-    // Contents survive the reset.
-    EXPECT_TRUE(cache.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
-}
-
-TEST(EdgeCases, MemorySystemResetStats)
-{
-    EventQueue events;
-    MemorySystem mem({}, DramConfig::hbm2(), events);
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    mem.resetStats();
-    EXPECT_EQ(mem.offChipTraffic().totalLines(), 0u);
-}
 
 TEST(EdgeCases, DramInFlightDrainsToZero)
 {

@@ -1,9 +1,9 @@
 /**
  * @file
  * The recoverable-error layer (Expected/Status) and every library
- * path converted from fatal() to typed errors: graph loaders fed
- * crafted corrupt fixtures, synth-spec parsing, registry and
- * personality lookups, and the exit-code contract of sgcn_sim and
+ * path converted from fatal() to typed errors: the edge-list loader
+ * fed crafted corrupt fixtures, synth-spec parsing, name lookups,
+ * and the exit-code contract of sgcn_sim and
  * the bench harnesses (carries the "corrupt" ctest label; the
  * ASan+UBSan CI job runs exactly this label over the malformed-input
  * fixtures).
@@ -14,15 +14,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "accel/dataflow/registry.hh"
 #include "accel/interconnect/link.hh"
 #include "accel/personalities.hh"
 #include "graph/datasets.hh"
@@ -54,37 +50,7 @@ struct TempFile
         std::ofstream out(path);
         out << text;
     }
-
-    void
-    writeBytes(const std::vector<char> &bytes) const
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
 };
-
-/** A well-formed binary CSR snapshot to corrupt from. */
-std::vector<char>
-goodSnapshotBytes()
-{
-    const CsrGraph graph = erdosRenyi(64, 4.0, 7);
-    TempFile file("_seed.csr");
-    EXPECT_TRUE(saveCsrBinary(graph, file.path).ok());
-    std::ifstream in(file.path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
-}
-
-void
-expectLoadFails(const TempFile &file, ErrorCode code)
-{
-    Expected<CsrGraph> loaded = loadCsrBinary(file.path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, code) << loaded.error().message;
-    EXPECT_NE(loaded.error().message.find(file.path),
-              std::string::npos);
-}
 
 // --------------------------------------------------------------
 // Expected / Status semantics
@@ -146,6 +112,35 @@ TEST(EdgeListLoader, VertexBeyondDeclaredCountIsCorruptData)
     EXPECT_EQ(loaded.error().code, ErrorCode::CorruptData);
 }
 
+TEST(EdgeListLoader, IdBeyondTheVertexIdRangeIsCorruptData)
+{
+    // 4294967298 used to wrap to 2 and load as a 3-vertex graph;
+    // 2^32 - 1 is rejected too, because max id + 1 must fit.
+    for (const char *id : {"4294967298", "4294967295"}) {
+        TempFile file(".el");
+        file.writeText(std::string("0 1\n1 ") + id + "\n");
+        Expected<CsrGraph> loaded = loadEdgeList(file.path);
+        ASSERT_FALSE(loaded.ok()) << id;
+        EXPECT_EQ(loaded.error().code, ErrorCode::CorruptData) << id;
+        EXPECT_NE(loaded.error().message.find(file.path + ":2"),
+                  std::string::npos)
+            << loaded.error().message;
+    }
+}
+
+TEST(EdgeListLoader, NegativeIdIsCorruptData)
+{
+    // -3 used to wrap to about 4.3 G and size a graph that large.
+    TempFile file(".el");
+    file.writeText("0 1\n1 -3\n");
+    Expected<CsrGraph> loaded = loadEdgeList(file.path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::CorruptData);
+    EXPECT_NE(loaded.error().message.find(file.path + ":2"),
+              std::string::npos)
+        << loaded.error().message;
+}
+
 TEST(EdgeListLoader, RoundTripsThroughSave)
 {
     const CsrGraph graph = erdosRenyi(32, 3.0, 11);
@@ -164,112 +159,6 @@ TEST(EdgeListSaver, UnwritablePathIsAnIoError)
         saveEdgeList(erdosRenyi(8, 2.0, 1), "/nonexistent/dir/x.el");
     ASSERT_FALSE(saved.ok());
     EXPECT_EQ(saved.error().code, ErrorCode::IoError);
-}
-
-// --------------------------------------------------------------
-// Binary CSR snapshots: one crafted fixture per validation step
-// --------------------------------------------------------------
-
-TEST(CsrSnapshot, MissingFileIsAnIoError)
-{
-    Expected<CsrGraph> loaded =
-        loadCsrBinary("/nonexistent/sgcn_nowhere.csr");
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, ErrorCode::IoError);
-}
-
-TEST(CsrSnapshot, BadMagicIsCorruptData)
-{
-    std::vector<char> bytes = goodSnapshotBytes();
-    bytes[0] = 'X';
-    TempFile file("_magic.csr");
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, ShorterThanTheHeaderIsCorruptData)
-{
-    TempFile file("_stub.csr");
-    file.writeBytes({'S', 'G', 'C', 'N'});
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, ZeroVertexHeaderIsCorruptData)
-{
-    std::vector<char> bytes = goodSnapshotBytes();
-    // n is the first u64 after the 8-byte magic.
-    std::memset(bytes.data() + 8, 0, sizeof(std::uint64_t));
-    TempFile file("_zero.csr");
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, TruncatedBodyIsCorruptDataNotAnAllocation)
-{
-    std::vector<char> bytes = goodSnapshotBytes();
-    bytes.resize(bytes.size() / 2);
-    TempFile file("_trunc.csr");
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, HugeDeclaredSizeIsRejectedBeforeAllocating)
-{
-    // A header declaring 2^40 edges over a tiny payload must fail the
-    // size cross-check, not attempt a terabyte allocation.
-    std::vector<char> bytes = goodSnapshotBytes();
-    const std::uint64_t huge = 1ull << 40;
-    std::memcpy(bytes.data() + 16, &huge, sizeof(huge));
-    TempFile file("_huge.csr");
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, NonMonotoneRowPointersAreCorruptData)
-{
-    const CsrGraph graph = erdosRenyi(16, 3.0, 3);
-    TempFile file("_mono.csr");
-    ASSERT_TRUE(saveCsrBinary(graph, file.path).ok());
-    std::ifstream in(file.path, std::ios::binary);
-    std::vector<char> bytes{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
-    in.close();
-    // Swap row_ptr[1] (offset 24) far above row_ptr[2].
-    const std::uint64_t spike = graph.numEdges() + 100;
-    std::memcpy(bytes.data() + 24 + sizeof(EdgeId), &spike,
-                sizeof(EdgeId));
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, OutOfRangeColumnIdIsCorruptData)
-{
-    const CsrGraph graph = erdosRenyi(16, 3.0, 3);
-    TempFile file("_col.csr");
-    ASSERT_TRUE(saveCsrBinary(graph, file.path).ok());
-    std::ifstream in(file.path, std::ios::binary);
-    std::vector<char> bytes{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
-    in.close();
-    // Poison the first column id (right after the row-pointer array).
-    const std::size_t col_off =
-        8 + 2 * sizeof(std::uint64_t) +
-        (graph.numVertices() + 1) * sizeof(EdgeId);
-    const VertexId bad = graph.numVertices() + 5;
-    std::memcpy(bytes.data() + col_off, &bad, sizeof(VertexId));
-    file.writeBytes(bytes);
-    expectLoadFails(file, ErrorCode::CorruptData);
-}
-
-TEST(CsrSnapshot, RoundTripsThroughSave)
-{
-    const CsrGraph graph = erdosRenyi(64, 4.0, 7);
-    TempFile file(".csr");
-    ASSERT_TRUE(saveCsrBinary(graph, file.path).ok());
-    Expected<CsrGraph> loaded = loadCsrBinary(file.path);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded.value().numVertices(), graph.numVertices());
-    EXPECT_EQ(loaded.value().numEdges(), graph.numEdges());
 }
 
 // --------------------------------------------------------------
@@ -323,14 +212,6 @@ TEST(Lookups, UnknownPersonalityIsNotFoundAndListsTheRoster)
     EXPECT_TRUE(tryPersonalityByName("SGCN").ok());
 }
 
-TEST(Lookups, RegisteredDataflowsResolve)
-{
-    Expected<const Dataflow *> flow =
-        tryDataflowFor(DataflowKind::AggFirstRowProduct);
-    ASSERT_TRUE(flow.ok());
-    EXPECT_NE(flow.value(), nullptr);
-}
-
 // --------------------------------------------------------------
 // Exit codes: 2 for a usage error, 1 for a bad value
 // --------------------------------------------------------------
@@ -373,7 +254,7 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
          {"run --chips -1", "run --sampled -2", "run --dram ddr4",
           "run --layers 1", "run --sampled 0", "run --cache-kb 0",
           "run --hidden 0", "run --scale 0", "run --engines 0",
-          "serve --rate -5"}) {
+          "run --cache-kb 100", "serve --rate -5"}) {
         EXPECT_EQ(runSim(args), 1) << args;
     }
     ASSERT_EQ(setenv("SGCN_BENCH_SCALE", "banana", 1), 0);
@@ -384,7 +265,8 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
     for (const char *args :
          {"run --dataset CR --accels SGCN --scale 0.08 --csv /dev/full",
           "run --dataset CR --accels SGCN --scale 0.08 "
-          "--export-schedule /dev/full"}) {
+          "--export-schedule /dev/full",
+          "generate --dataset CR --scale 0.08 --out /dev/full"}) {
         EXPECT_EQ(runSim(args), 1) << args;
     }
 }

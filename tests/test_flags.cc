@@ -68,7 +68,6 @@ TEST_F(Flags, NoFlagsGiveTheStructDefaults)
     EXPECT_EQ(o.run.interLayerOverlap, run.interLayerOverlap);
     EXPECT_EQ(o.run.tileOverlap, run.tileOverlap);
     EXPECT_EQ(o.run.jobs, ThreadPool::hardwareJobs());
-    EXPECT_EQ(o.run.releaseArtifacts, run.releaseArtifacts);
     EXPECT_EQ(o.run.chips, run.chips);
     EXPECT_EQ(o.run.partitionPolicy, run.partitionPolicy);
     EXPECT_STREQ(o.run.link.name, run.link.name);

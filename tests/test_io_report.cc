@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for graph file I/O (edge lists, binary CSR snapshots)
- * and the machine-readable result export.
+ * Unit tests for graph file I/O (edge lists) and the
+ * machine-readable result export.
  */
 
 #include <gtest/gtest.h>
@@ -67,25 +67,6 @@ TEST(GraphIo, EdgeListParsesCommentsAndGaps)
     CsrGraph graph = loadEdgeList(file.path).value();
     EXPECT_EQ(graph.numVertices(), 3u);
     EXPECT_EQ(graph.numEdgesNoSelfLoops(), 4u); // undirected
-}
-
-TEST(GraphIo, BinarySnapshotRoundTrip)
-{
-    CsrGraph graph = clusteredGraph({.vertices = 500, .seed = 73});
-    TempFile file(".csr");
-    ASSERT_TRUE(saveCsrBinary(graph, file.path).ok());
-    CsrGraph loaded = loadCsrBinary(file.path).value();
-    EXPECT_EQ(loaded.numVertices(), graph.numVertices());
-    EXPECT_EQ(loaded.columnIndices(), graph.columnIndices());
-    EXPECT_EQ(loaded.rowPointers(), graph.rowPointers());
-    // Normalized weights rebuilt identically.
-    for (VertexId v = 0; v < 500; v += 61) {
-        const auto a = graph.weights(v);
-        const auto b = loaded.weights(v);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i)
-            EXPECT_FLOAT_EQ(a[i], b[i]);
-    }
 }
 
 TEST(GraphIo, DeclaredVertexCountOverridesMax)

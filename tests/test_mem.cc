@@ -11,7 +11,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/memory_system.hh"
 #include "sim/rng.hh"
 
 namespace sgcn
@@ -393,37 +392,6 @@ TEST(DramTest, UtilizationAccounting)
     const double util = dram.bandwidthUtilization(cycles);
     EXPECT_GT(util, 0.5);
     EXPECT_LE(util, 1.0);
-}
-
-TEST(MemorySystemTest, BypassSkipsCache)
-{
-    EventQueue events;
-    CacheConfig cache_config;
-    MemorySystem mem(cache_config, DramConfig::hbm2(), events);
-    mem.setBypass(TrafficClass::Weight, true);
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::Weight});
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::Weight});
-    // No cache involvement: both count as off-chip.
-    EXPECT_EQ(mem.cache().stats().hits + mem.cache().stats().misses,
-              0u);
-    EXPECT_EQ(mem.offChipTraffic().classLines(TrafficClass::Weight),
-              2u);
-}
-
-TEST(MemorySystemTest, TrafficMergesTimingAndFunctional)
-{
-    EventQueue events;
-    CacheConfig cache_config;
-    MemorySystem mem(cache_config, DramConfig::hbm2(), events);
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    mem.access(MemRequest{1 << 20, MemOp::Read, TrafficClass::FeatureIn},
-               nullptr);
-    events.run();
-    EXPECT_EQ(mem.offChipTraffic().classLines(TrafficClass::FeatureIn),
-              2u);
 }
 
 } // namespace

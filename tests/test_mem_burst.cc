@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the bulk (plan-granular) memory access API:
- * Dram::accessBurst / accessRun, Cache::accessBurst / accessBurstRmw,
- * and MemorySystem::accessPlan. The core property throughout is
+ * Dram::accessBurst / accessRun and Cache::accessBurst /
+ * accessBurstRmw. The core property throughout is
  * request-for-request equivalence with the per-line issue loop the
  * bulk path replaced: same completion cycles, same counters, same
  * event counts — with exactly one completion per plan.
@@ -14,7 +14,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/memory_system.hh"
 
 namespace sgcn
 {
@@ -297,47 +296,6 @@ TEST(CacheBurst, InterleavedRmwBurstsCompleteExactlyOnce)
     for (int b = 0; b < kBursts; ++b)
         EXPECT_EQ(completions[b], 1) << "burst " << b;
     EXPECT_EQ(rig.cache.outstandingMisses(), 0u);
-}
-
-TEST(MemorySystemPlan, RoutesThroughCacheByDefault)
-{
-    EventQueue events;
-    MemorySystem mem(CacheConfig{}, DramConfig::hbm2(), events);
-    AccessPlan plan;
-    plan.addLines(0x1000, 4);
-    int done = 0;
-    mem.accessPlan(plan, MemOp::Read, TrafficClass::FeatureIn,
-                   MemCallback([&] { ++done; }));
-    events.run();
-    EXPECT_EQ(done, 1);
-    EXPECT_EQ(mem.cache().stats().misses, 4u);
-}
-
-TEST(MemorySystemPlan, BypassClassGoesStraightToDram)
-{
-    EventQueue events;
-    MemorySystem mem(CacheConfig{}, DramConfig::hbm2(), events);
-    mem.setBypass(TrafficClass::PartialSum, true);
-    AccessPlan plan;
-    plan.addLines(0x1000, 4);
-    int done = 0;
-    mem.accessPlan(plan, MemOp::Read, TrafficClass::PartialSum,
-                   MemCallback([&] { ++done; }));
-    events.run();
-    EXPECT_EQ(done, 1);
-    EXPECT_EQ(mem.cache().stats().hits + mem.cache().stats().misses,
-              0u);
-    EXPECT_EQ(mem.dram().traffic().classLines(
-                  TrafficClass::PartialSum),
-              4u);
-
-    // Zero-line plans complete immediately through either route.
-    mem.accessPlan(AccessPlan{}, MemOp::Read,
-                   TrafficClass::PartialSum,
-                   MemCallback([&] { ++done; }));
-    mem.accessPlan(AccessPlan{}, MemOp::Read, TrafficClass::FeatureIn,
-                   MemCallback([&] { ++done; }));
-    EXPECT_EQ(done, 3);
 }
 
 } // namespace

@@ -280,7 +280,7 @@ TEST(StreamArtifacts, OneChipPartitionSharesTheGlobalMasks)
               mask.mask.get());
 }
 
-TEST(StreamArtifacts, ReleaseArtifactsClearsBothCaches)
+TEST(StreamArtifacts, ClearSweepArtifactsEmptiesBothCaches)
 {
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev("CR"), 0.1);
@@ -299,16 +299,15 @@ TEST(StreamArtifacts, ReleaseArtifactsClearsBothCaches)
     auto &artifacts = StreamArtifactCache::instance();
     const auto order = artifacts.degreeOrder(dataset.graph);
 
-    opts.releaseArtifacts = true;
     const auto released =
         runAll(allPersonalities(), dataset, net, opts);
+    clearSweepArtifacts();
     EXPECT_EQ(StreamArtifactCache::instance().stats().entries, 0u);
     EXPECT_EQ(StreamArtifactCache::instance().footprintBytes(), 0u);
     EXPECT_EQ(PreprocessCache::instance().size(), 0u);
     EXPECT_EQ(order->size(), dataset.graph.numVertices());
 
     // A post-release sweep recomputes and still agrees exactly.
-    opts.releaseArtifacts = false;
     const auto recomputed =
         runAll(allPersonalities(), dataset, net, opts);
     ASSERT_EQ(recomputed.size(), released.size());

@@ -88,20 +88,6 @@ TEST(DramTiming, SingleBankStreamSerializesOnRowCycle)
     EXPECT_GE(cycles, 64 * (config.tRp + config.tRcd) * 9 / 10);
 }
 
-TEST(DramTiming, ResetStatsClearsCounters)
-{
-    EventQueue events;
-    Dram dram(DramConfig::hbm2(), events);
-    drive(dram, events, 100, 16, [](std::uint64_t i) {
-        return i * kCachelineBytes;
-    });
-    EXPECT_GT(dram.traffic().totalLines(), 0u);
-    dram.resetStats();
-    EXPECT_EQ(dram.traffic().totalLines(), 0u);
-    EXPECT_EQ(dram.rowHits() + dram.rowMisses(), 0u);
-    EXPECT_EQ(dram.busBusyCycles(), 0u);
-}
-
 TEST(DramTiming, ChannelsSpreadUniformInterleave)
 {
     // Consecutive 256B stripes rotate channels; with 8 channels a

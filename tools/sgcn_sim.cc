@@ -82,6 +82,12 @@ configsFromCli(const Cli &cli)
             static_cast<unsigned>(config.cache.sizeBytes / 1024);
         const unsigned kb = countFlag(cli, "cache-kb", size_kb, 1).orFatal();
         config.cache.sizeBytes = std::uint64_t{kb} * 1024;
+        // The cache indexes its sets by mask and shift.
+        if (!isPowerOfTwo(config.cache.numSets())) {
+            fatal("--cache-kb: ", kb, " gives ", config.cache.numSets(),
+                  " sets of ", config.cache.ways,
+                  " 64-B lines; the set count must be a power of two");
+        }
         config.aggEngines =
             countFlag(cli, "engines", config.aggEngines, 1).orFatal();
         config.combEngines = config.aggEngines;
