@@ -202,7 +202,8 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
     // ones: the single-accelerator run the paper's figures model.
     const unsigned chips = static_cast<unsigned>(
         std::min<std::uint64_t>(opts.chips, graph->numVertices()));
-    if (Status valid = opts.faults.validate(chips); !valid.ok())
+    if (Status valid = opts.faults.validate(chips, net.layers);
+        !valid.ok())
         return valid.error();
 
     const bool faulty = opts.faults.active();

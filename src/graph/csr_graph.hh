@@ -225,14 +225,6 @@ class CsrGraph
     /** Packed column-index array (decode-on-access). */
     const PackedIndexArray &columnIndices() const { return colIdx; }
 
-    /** Decoded uint32 copy of the column indices, for raw-array
-     *  consumers (the packed-vs-unpacked scan benchmark). */
-    std::vector<VertexId>
-    unpackedColumns() const
-    {
-        return colIdx.unpacked();
-    }
-
     /** Average degree (directed edges / vertices). */
     double avgDegree() const;
 

@@ -1,7 +1,6 @@
 #include "graph/generators.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "graph/csr_builder.hh"
 #include "sim/logging.hh"
@@ -128,95 +127,6 @@ clusteredGraph(const ClusteredGraphParams &params)
     builder.finishCounting();
     each_pass([&](VertexId s, VertexId d) { builder.addEdge(s, d); });
     return CsrGraph(std::move(builder));
-}
-
-CsrGraph
-erdosRenyi(VertexId vertices, double avg_degree, std::uint64_t seed)
-{
-    SGCN_ASSERT(vertices > 1);
-    const auto target = static_cast<EdgeId>(
-        avg_degree * static_cast<double>(vertices) / 2.0);
-    CsrBuilder builder(vertices, true, true, 0);
-    const auto each_pass = [&](auto &&emit) {
-        Rng rng(seed);
-        for (EdgeId i = 0; i < target; ++i) {
-            const auto src =
-                static_cast<VertexId>(rng.uniformInt(vertices));
-            const auto dst =
-                static_cast<VertexId>(rng.uniformInt(vertices));
-            if (src != dst)
-                emit(src, dst);
-        }
-    };
-    each_pass([&](VertexId s, VertexId d) { builder.countEdge(s, d); });
-    builder.finishCounting();
-    each_pass([&](VertexId s, VertexId d) { builder.addEdge(s, d); });
-    return CsrGraph(std::move(builder));
-}
-
-CsrGraph
-rmat(VertexId vertices, EdgeId undirected_edges, std::uint64_t seed,
-     double a, double b, double c)
-{
-    SGCN_ASSERT(vertices > 1 && isPowerOfTwo(vertices),
-                "R-MAT needs a power-of-two vertex count");
-    SGCN_ASSERT(a + b + c < 1.0, "R-MAT probabilities must sum < 1");
-    Rng rng(seed);
-    const unsigned levels = log2Floor(vertices);
-
-    std::vector<EdgePair> edges;
-    edges.reserve(undirected_edges);
-    for (EdgeId i = 0; i < undirected_edges; ++i) {
-        VertexId src = 0, dst = 0;
-        for (unsigned level = 0; level < levels; ++level) {
-            const double p = rng.uniform();
-            const bool right = (p >= a && p < a + b) || (p >= a + b + c);
-            const bool down = (p >= a + b);
-            src = (src << 1) | (down ? 1u : 0u);
-            dst = (dst << 1) | (right ? 1u : 0u);
-        }
-        if (src != dst)
-            edges.emplace_back(src, dst);
-    }
-    return CsrGraph(vertices, std::move(edges), true, true);
-}
-
-CsrGraph
-barabasiAlbert(VertexId vertices, unsigned edges_per_vertex,
-               std::uint64_t seed)
-{
-    SGCN_ASSERT(vertices > edges_per_vertex && edges_per_vertex > 0);
-    Rng rng(seed);
-
-    // Endpoint pool: each inserted endpoint biases future attachment
-    // proportionally to current degree.
-    std::vector<VertexId> pool;
-    pool.reserve(static_cast<std::size_t>(vertices) * edges_per_vertex *
-                 2);
-    std::vector<EdgePair> edges;
-    edges.reserve(static_cast<std::size_t>(vertices) * edges_per_vertex);
-
-    // Seed clique over the first edges_per_vertex + 1 vertices.
-    for (VertexId v = 0; v <= edges_per_vertex; ++v) {
-        for (VertexId u = 0; u < v; ++u) {
-            edges.emplace_back(v, u);
-            pool.push_back(v);
-            pool.push_back(u);
-        }
-    }
-
-    for (VertexId v = edges_per_vertex + 1; v < vertices; ++v) {
-        for (unsigned k = 0; k < edges_per_vertex; ++k) {
-            const VertexId u =
-                pool[rng.uniformInt(pool.size())];
-            if (u == v)
-                continue;
-            edges.emplace_back(v, u);
-            pool.push_back(v);
-            pool.push_back(u);
-        }
-    }
-    return CsrGraph(vertices, std::move(edges), true, true);
 }
 
 } // namespace sgcn

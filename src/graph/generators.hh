@@ -1,12 +1,11 @@
 /**
  * @file
- * Synthetic graph generators.
- *
- * The clustered generator is the workhorse: it produces the two
- * structural properties SGCN's sparsity-aware cooperation exploits
- * (SV-C, Fig. 7b) — neighbour similarity between adjacent vertex ids
- * and community clustering around the diagonal — with controllable
- * degree skew.
+ * The synthetic graph generator behind every Table II stand-in and
+ * every synth: dataset. It produces the two structural properties
+ * SGCN's sparsity-aware cooperation exploits (SV-C, Fig. 7b) —
+ * neighbour similarity between adjacent vertex ids and community
+ * clustering around the diagonal — with controllable degree skew.
+ * localityFraction = hubFraction = 0 gives a uniform random graph.
  */
 
 #ifndef SGCN_GRAPH_GENERATORS_HH
@@ -69,22 +68,6 @@ struct ClusteredGraphParams
 
 /** Clustered / locality-preserving community graph (see above). */
 CsrGraph clusteredGraph(const ClusteredGraphParams &params);
-
-/** Erdos-Renyi-style graph with the given average directed degree. */
-CsrGraph erdosRenyi(VertexId vertices, double avg_degree,
-                    std::uint64_t seed);
-
-/**
- * R-MAT recursive-matrix graph (a=0.57, b=c=0.19 by default),
- * yielding power-law degrees without locality.
- */
-CsrGraph rmat(VertexId vertices, EdgeId undirected_edges,
-              std::uint64_t seed, double a = 0.57, double b = 0.19,
-              double c = 0.19);
-
-/** Barabasi-Albert preferential attachment graph. */
-CsrGraph barabasiAlbert(VertexId vertices, unsigned edges_per_vertex,
-                        std::uint64_t seed);
 
 } // namespace sgcn
 

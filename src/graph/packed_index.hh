@@ -271,16 +271,6 @@ class PackedIndexArray
     PackedIndexIterator begin() const { return all().begin(); }
     PackedIndexIterator end() const { return all().end(); }
 
-    /** Decoded copy (CsrGraph::unpackedColumns). */
-    std::vector<VertexId>
-    unpacked() const
-    {
-        std::vector<VertexId> out(count_);
-        for (std::size_t i = 0; i < count_; ++i)
-            out[i] = (*this)[i];
-        return out;
-    }
-
     /** Storage bytes (footprint accounting). */
     std::uint64_t byteSize() const { return bytes_.size(); }
 

@@ -262,7 +262,7 @@ class Cache
      * deeper chains spill into free-listed MshrTargetNodes. This
      * replaces the per-miss std::unordered_map node + targets
      * vector — the last per-plan allocations on the timing hot
-     * path (micro_event_queue's counting allocator pins the bound).
+     * path (tests/test_alloc_bounds.cc pins the bound).
      */
     struct MshrEntry
     {

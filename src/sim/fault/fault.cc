@@ -194,7 +194,7 @@ FaultPlan::canonical() const
 }
 
 Status
-FaultPlan::validate(unsigned chips) const
+FaultPlan::validate(unsigned chips, unsigned layers) const
 {
     for (const FaultSpec &fault : faults) {
         if (fault.kind == FaultKind::DramRetry)
@@ -211,6 +211,16 @@ FaultPlan::validate(unsigned chips) const
                              faultKindName(fault.kind), ":chip",
                              fault.chip, "' targets chip ", fault.chip,
                              " but the run has chips 0..", chips - 1);
+        }
+        // A layer past the depth would never fire, leaving the run
+        // fault-free while the banner echoes the clause as armed.
+        if (fault.layer != kFaultAnyLayer && fault.layer >= layers) {
+            return makeError(ErrorCode::InvalidArgument, "fault '",
+                             faultKindName(fault.kind), ":chip",
+                             fault.chip, "@layer", fault.layer,
+                             "' targets layer ", fault.layer,
+                             " but the network has layers 0..",
+                             layers - 1);
         }
     }
     return Status::success();

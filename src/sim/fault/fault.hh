@@ -119,10 +119,10 @@ struct FaultPlan
 
     /**
      * Check the plan against a run shape: chip-targeted clauses need
-     * chips > 1 and an in-range chip index. Returns the first
-     * violation.
+     * chips > 1 and an in-range chip index, and an @layer must name
+     * one of the network's @p layers. Returns the first violation.
      */
-    Status validate(unsigned chips) const;
+    Status validate(unsigned chips, unsigned layers) const;
 
     /** Transient-error probability for DRAM bursts (0 = none). */
     double dramRetryProb() const;

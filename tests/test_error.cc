@@ -143,7 +143,8 @@ TEST(EdgeListLoader, NegativeIdIsCorruptData)
 
 TEST(EdgeListLoader, RoundTripsThroughSave)
 {
-    const CsrGraph graph = erdosRenyi(32, 3.0, 11);
+    const CsrGraph graph =
+        clusteredGraph({.vertices = 32, .avgDegree = 3.0, .seed = 11});
     TempFile file(".el");
     ASSERT_TRUE(saveEdgeList(graph, file.path).ok());
     Expected<CsrGraph> loaded =
@@ -155,8 +156,9 @@ TEST(EdgeListLoader, RoundTripsThroughSave)
 
 TEST(EdgeListSaver, UnwritablePathIsAnIoError)
 {
-    Status saved =
-        saveEdgeList(erdosRenyi(8, 2.0, 1), "/nonexistent/dir/x.el");
+    Status saved = saveEdgeList(
+        clusteredGraph({.vertices = 8, .avgDegree = 2.0}),
+        "/nonexistent/dir/x.el");
     ASSERT_FALSE(saved.ok());
     EXPECT_EQ(saved.error().code, ErrorCode::IoError);
 }
@@ -261,12 +263,15 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
     EXPECT_EQ(runSim("datasets"), 1);
     unsetenv("SGCN_BENCH_SCALE");
 
-    // A short write is a runtime error too, not a "wrote PATH".
+    // A short write is a runtime error too, not a "wrote PATH"; so is
+    // a fault at a layer past the network's depth.
     for (const char *args :
          {"run --dataset CR --accels SGCN --scale 0.08 --csv /dev/full",
           "run --dataset CR --accels SGCN --scale 0.08 "
           "--export-schedule /dev/full",
-          "generate --dataset CR --scale 0.08 --out /dev/full"}) {
+          "generate --dataset CR --scale 0.08 --out /dev/full",
+          "run --dataset CR --accels SGCN --scale 0.08 --chips 2 "
+          "--jobs 1 --faults chip-fail:chip1@layer28"}) {
         EXPECT_EQ(runSim(args), 1) << args;
     }
 }

@@ -123,12 +123,20 @@ TEST(FaultPlanParse, MalformedSpecsAreParseErrors)
 TEST(FaultPlanValidate, ChipTargetedFaultsNeedAShardedRun)
 {
     const FaultPlan degrade = plan("link-degrade:chip1:0.5");
-    EXPECT_FALSE(degrade.validate(1).ok());
-    EXPECT_TRUE(degrade.validate(2).ok());
-    // Chip ids are range-checked against the run shape.
-    EXPECT_FALSE(plan("chip-fail:chip7@layer1").validate(4).ok());
+    EXPECT_FALSE(degrade.validate(1, 28).ok());
+    EXPECT_TRUE(degrade.validate(2, 28).ok());
+    // Chip ids are range-checked against the run shape, and layers
+    // against the network's depth.
+    EXPECT_FALSE(plan("chip-fail:chip7@layer1").validate(4, 28).ok());
+    EXPECT_TRUE(plan("chip-fail:chip1@layer27").validate(2, 28).ok());
+    EXPECT_FALSE(plan("chip-fail:chip1@layer28").validate(2, 28).ok());
+    const Status past = plan("chip-stall:chip1:9@layer28").validate(2, 28);
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.error().message,
+              "fault 'chip-stall:chip1@layer28' targets layer 28 but the "
+              "network has layers 0..27");
     // dram-retry applies to any shape, including monolithic.
-    EXPECT_TRUE(plan("dram-retry:0.1").validate(1).ok());
+    EXPECT_TRUE(plan("dram-retry:0.1").validate(1, 28).ok());
 }
 
 TEST(FaultInjector, HashUniformIsDeterministicAndInRange)
