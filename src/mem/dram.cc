@@ -29,9 +29,16 @@ DramConfig::hbm1()
 }
 
 Dram::Dram(const DramConfig &config, EventQueue &queue)
-    : cfg(config), events(queue)
+    : cfg(config), interleaveShift(log2Floor(cfg.interleaveBytes)),
+      channelShift(log2Floor(cfg.channels)),
+      rowShift(log2Floor(cfg.rowBytes)),
+      bankShift(log2Floor(cfg.banksPerChannel)), events(queue)
 {
-    SGCN_ASSERT(cfg.channels > 0 && cfg.banksPerChannel > 0);
+    SGCN_ASSERT(isPowerOfTwo(cfg.channels) &&
+                    isPowerOfTwo(cfg.banksPerChannel),
+                "DRAM channels and banks per channel must be powers "
+                "of two: ",
+                cfg.channels, ", ", cfg.banksPerChannel);
     SGCN_ASSERT(isPowerOfTwo(cfg.interleaveBytes) &&
                 cfg.interleaveBytes >= kCachelineBytes);
     SGCN_ASSERT(isPowerOfTwo(cfg.rowBytes) &&
@@ -42,29 +49,64 @@ Dram::Dram(const DramConfig &config, EventQueue &queue)
 }
 
 void
-Dram::decode(Addr line_addr, unsigned &channel, unsigned &bank,
-             std::uint64_t &row) const
+Dram::Channel::push(const Key &key, Pending pending)
+{
+    // Reclaim the dead prefix rather than grow once it is at least
+    // half the arrays: the live entries it moves are no more than
+    // the entries taken since the last reclaim, so the cost is O(1)
+    // amortized per request.
+    if (head > 0 && keys.size() == keys.capacity() &&
+        head * 2 >= keys.size()) {
+        keys.erase(keys.begin(),
+                   keys.begin() + static_cast<std::ptrdiff_t>(head));
+        entries.erase(entries.begin(),
+                      entries.begin() +
+                          static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
+    keys.push_back(key);
+    entries.push_back(std::move(pending));
+}
+
+Dram::Pending
+Dram::Channel::take(std::size_t i)
+{
+    Key *key = keys.data() + head;
+    Pending *entry = entries.data() + head;
+    Pending taken = std::move(entry[i]);
+    // Close the hole from the front: the i older entries shift one
+    // slot back and the head slot falls dead.
+    std::copy_backward(key, key + i, key + i + 1);
+    std::move_backward(entry, entry + i, entry + i + 1);
+    if (++head == keys.size()) {
+        keys.clear();
+        entries.clear();
+        head = 0;
+    }
+    return taken;
+}
+
+std::uint64_t
+Dram::channelLocal(Addr line_addr, unsigned &channel) const
 {
     // Stripe addresses across channels at interleaveBytes, then lay
     // rows of rowBytes across banks within the channel. This keeps
     // consecutive slices of one vertex in the same row while spreading
     // independent vertices over channels (the in-place layout's
     // row-buffer-locality claim, SV-A).
-    const std::uint64_t stripe = line_addr / cfg.interleaveBytes;
-    channel = static_cast<unsigned>(stripe % cfg.channels);
-    const std::uint64_t local =
-        (stripe / cfg.channels) * cfg.interleaveBytes +
-        (line_addr % cfg.interleaveBytes);
-    const std::uint64_t row_global = local / cfg.rowBytes;
-    bank = static_cast<unsigned>(row_global % cfg.banksPerChannel);
-    row = row_global / cfg.banksPerChannel;
+    const std::uint64_t stripe = line_addr >> interleaveShift;
+    channel = static_cast<unsigned>(stripe & (cfg.channels - 1));
+    return ((stripe >> channelShift) << interleaveShift) |
+           (line_addr & (cfg.interleaveBytes - 1));
 }
 
-unsigned
-Dram::decodeChannel(Addr line_addr) const
+Dram::Key
+Dram::localKey(std::uint64_t local) const
 {
-    return static_cast<unsigned>((line_addr / cfg.interleaveBytes) %
-                                 cfg.channels);
+    const std::uint64_t row_global = local >> rowShift;
+    return Key{row_global >> bankShift,
+               static_cast<unsigned>(row_global &
+                                     (cfg.banksPerChannel - 1))};
 }
 
 void
@@ -74,11 +116,9 @@ Dram::access(const MemRequest &request, MemCallback done)
                 "DRAM request not line-aligned: ", request.lineAddr);
     counters.add(request.op, request.cls);
     ++outstanding;
-    unsigned channel_idx, bank_idx;
-    std::uint64_t row;
-    decode(request.lineAddr, channel_idx, bank_idx, row);
-    channelState[channel_idx].queue.push_back(Pending{
-        request, std::move(done), events.now(), bank_idx, row});
+    unsigned channel_idx;
+    const Key key = localKey(channelLocal(request.lineAddr, channel_idx));
+    channelState[channel_idx].push(key, Pending{request, std::move(done)});
     activateScheduler(channel_idx);
 }
 
@@ -90,7 +130,6 @@ Dram::enqueueRun(Addr first_line, std::uint32_t lines, MemOp op,
                 "DRAM run not line-aligned: ", first_line);
     counters.add(op, cls, lines);
     outstanding += lines;
-    const Cycle now = events.now();
     Addr line = first_line;
     std::uint32_t remaining = lines;
     while (remaining > 0) {
@@ -108,30 +147,20 @@ Dram::enqueueRun(Addr first_line, std::uint32_t lines, MemOp op,
             std::min<std::uint64_t>(remaining,
                                     (boundary - line) /
                                         kCachelineBytes));
-        unsigned channel_idx, bank_idx;
-        std::uint64_t row;
-        decode(line, channel_idx, bank_idx, row);
-        const std::uint64_t stripe = line / cfg.interleaveBytes;
-        std::uint64_t local =
-            (stripe / cfg.channels) * cfg.interleaveBytes +
-            (line % cfg.interleaveBytes);
+        unsigned channel_idx;
+        std::uint64_t local = channelLocal(line, channel_idx);
+        Key key = localKey(local);
         Channel &channel = channelState[channel_idx];
         for (std::uint32_t i = 0; i < chunk; ++i) {
             const Addr line_addr =
                 line + static_cast<Addr>(i) * kCachelineBytes;
             if (i > 0) {
                 local += kCachelineBytes;
-                if ((local & (cfg.rowBytes - 1)) == 0) {
-                    const std::uint64_t row_global =
-                        local / cfg.rowBytes;
-                    bank_idx = static_cast<unsigned>(
-                        row_global % cfg.banksPerChannel);
-                    row = row_global / cfg.banksPerChannel;
-                }
+                if ((local & (cfg.rowBytes - 1)) == 0)
+                    key = localKey(local);
             }
-            channel.queue.push_back(
-                Pending{MemRequest{line_addr, op, cls},
-                        BurstPool::part(node), now, bank_idx, row});
+            channel.push(key, Pending{MemRequest{line_addr, op, cls},
+                                      BurstPool::part(node)});
         }
         activateScheduler(channel_idx);
         line += static_cast<Addr>(chunk) * kCachelineBytes;
@@ -170,7 +199,7 @@ void
 Dram::activateScheduler(unsigned channel_idx)
 {
     Channel &channel = channelState[channel_idx];
-    if (channel.schedulerActive || channel.queue.empty())
+    if (channel.schedulerActive || channel.depth() == 0)
         return;
     channel.schedulerActive = true;
     events.schedule(events.now(),
@@ -182,7 +211,7 @@ Dram::dispatch(unsigned channel_idx)
 {
     Channel &channel = channelState[channel_idx];
     channel.schedulerActive = false;
-    if (channel.queue.empty())
+    if (channel.depth() == 0)
         return;
 
     const Cycle now = events.now();
@@ -193,15 +222,15 @@ Dram::dispatch(unsigned channel_idx)
     // oldest ready request of any kind. If nothing is ready, sleep
     // until the earliest bank frees up.
     const std::size_t window =
-        std::min<std::size_t>(channel.queue.size(), cfg.schedWindow);
+        std::min<std::size_t>(channel.depth(), cfg.schedWindow);
     const Cycle faw_ready = fawReadyAt(channel);
     std::size_t pick = window; // invalid
     bool pick_is_hit = false;
     Cycle earliest_ready = std::numeric_limits<Cycle>::max();
     for (std::size_t i = 0; i < window; ++i) {
-        const Pending &pending = channel.queue[i];
-        const Bank &bank = channel.banks[pending.bank];
-        const bool hit = bank.rowOpen && bank.openRow == pending.row;
+        const Key &key = channel.key(i);
+        const Bank &bank = channel.banks[key.bank];
+        const bool hit = bank.rowOpen && bank.openRow == key.row;
         // A miss needs an activate slot (tFAW) on top of the bank.
         const Cycle ready_at =
             hit ? bank.readyAt : std::max(bank.readyAt, faw_ready);
@@ -234,31 +263,30 @@ Dram::dispatch(unsigned channel_idx)
     // only within the activate budget (tFAW).
     if (pick_is_hit && fawReadyAt(channel) <= now) {
         const std::size_t window2 =
-            std::min<std::size_t>(channel.queue.size(),
-                                  cfg.schedWindow);
+            std::min<std::size_t>(channel.depth(), cfg.schedWindow);
         std::size_t candidate = window2;
         unsigned candidate_bank = 0;
         std::uint64_t candidate_row = 0;
         for (std::size_t i = 0; i < window2 && candidate == window2;
              ++i) {
-            const Pending &pending = channel.queue[i];
-            Bank &bank = channel.banks[pending.bank];
+            const Key &key = channel.key(i);
+            const Bank &bank = channel.banks[key.bank];
             if (bank.readyAt > now)
                 continue;
-            if (bank.rowOpen && bank.openRow == pending.row)
+            if (bank.rowOpen && bank.openRow == key.row)
                 continue; // a hit; the CAS path will take it
             candidate = i;
-            candidate_bank = pending.bank;
-            candidate_row = pending.row;
+            candidate_bank = key.bank;
+            candidate_row = key.row;
         }
         if (candidate != window2) {
             Bank &bank = channel.banks[candidate_bank];
             bool open_row_still_wanted = false;
             if (bank.rowOpen) {
                 for (std::size_t i = 0; i < window2; ++i) {
-                    const Pending &pending = channel.queue[i];
-                    if (pending.bank == candidate_bank &&
-                        pending.row == bank.openRow) {
+                    const Key &key = channel.key(i);
+                    if (key.bank == candidate_bank &&
+                        key.row == bank.openRow) {
                         open_row_still_wanted = true;
                         break;
                     }
@@ -275,13 +303,10 @@ Dram::dispatch(unsigned channel_idx)
         }
     }
 
-    if (!channel.queue.empty()) {
+    if (channel.depth() != 0) {
         channel.schedulerActive = true;
-        const unsigned channel_idx2 = static_cast<unsigned>(
-            &channel - channelState.data());
-        events.schedule(now + 1, [this, channel_idx2] {
-            dispatch(channel_idx2);
-        });
+        events.schedule(now + 1,
+                        [this, channel_idx] { dispatch(channel_idx); });
     }
 }
 
@@ -289,12 +314,11 @@ void
 Dram::issueRequest(Channel &channel, std::size_t pick)
 {
     const Cycle now = events.now();
-    Pending pending = std::move(channel.queue[pick]);
-    channel.queue.erase(channel.queue.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
+    const Key key = channel.key(pick);
+    Pending pending = channel.take(pick);
 
-    const std::uint64_t row = pending.row;
-    Bank &bank = channel.banks[pending.bank];
+    const std::uint64_t row = key.row;
+    Bank &bank = channel.banks[key.bank];
 
     Cycle access_latency;
     if (bank.rowOpen && bank.openRow == row) {
@@ -337,7 +361,7 @@ Dram::issueRequest(Channel &channel, std::size_t pick)
             cfg.transientRetryProb) {
         ++retryCount;
         ++pending.attempts;
-        channel.queue.push_back(std::move(pending));
+        channel.push(key, std::move(pending));
         return;
     }
 

@@ -43,16 +43,16 @@ struct DramConfig
     /** Generation of the part (energy model per-line cost). */
     DramGeneration generation = DramGeneration::Hbm2;
 
-    /** Independent channels (Table III: 8). */
+    /** Independent channels (Table III: 8); a power of two. */
     unsigned channels = 8;
 
-    /** Banks per channel (Table III: 4x4). */
+    /** Banks per channel (Table III: 4x4); a power of two. */
     unsigned banksPerChannel = 16;
 
-    /** Row (page) size per bank in bytes. */
+    /** Row (page) size per bank in bytes; a power of two. */
     unsigned rowBytes = 1024;
 
-    /** Channel interleaving granularity in bytes. */
+    /** Channel interleaving granularity in bytes; a power of two. */
     unsigned interleaveBytes = 256;
 
     /** Cycles the channel data bus is busy per 64B burst.
@@ -175,15 +175,20 @@ class Dram
     const DramConfig &config() const { return cfg; }
 
   private:
+    /** A queued request's FR-FCFS scan key, decoded at enqueue so
+     *  the scan (which revisits every queued request many times)
+     *  never re-decodes and walks a dense array. */
+    struct Key
+    {
+        std::uint64_t row;
+        unsigned bank;
+    };
+
+    /** What a queued request carries besides its key. */
     struct Pending
     {
         MemRequest request;
         MemCallback done;
-        Cycle enqueued;
-        /** Decoded at enqueue so the FR-FCFS scan (which revisits
-         *  every queued request many times) never re-divides. */
-        unsigned bank;
-        std::uint64_t row;
 
         /** Transient-error retries already taken (fault injection). */
         unsigned attempts = 0;
@@ -204,14 +209,32 @@ class Dram
         Channel(Channel &&) = default;
         Channel &operator=(Channel &&) = default;
 
-        /** FR-FCFS scheduling queue in arrival order. A vector, not
-         *  a deque: a deque's push/erase churn allocates and frees
-         *  a storage chunk every few requests in steady state,
-         *  while a vector's retained capacity makes the enqueue
-         *  path allocation-free once warm (the mid-queue erase is
-         *  the same element shifting either way at these bounded
-         *  window depths). */
-        std::vector<Pending> queue;
+        /** Requests queued, in arrival order. */
+        std::size_t depth() const { return keys.size() - head; }
+
+        /** Key of the @p i-th oldest queued request. */
+        const Key &key(std::size_t i) const { return keys[head + i]; }
+
+        /** Append a request at the back of the queue. */
+        void push(const Key &key, Pending pending);
+
+        /** Remove and return the @p i-th oldest queued request. */
+        Pending take(std::size_t i);
+
+        /** FR-FCFS scheduling queue in arrival order: entries
+         *  [head, size) of two parallel arrays, so the scans walk
+         *  the dense keys and never touch the callbacks. Taking
+         *  entry i shifts only the i older entries one slot back and
+         *  advances the head; the common pick, the oldest, moves
+         *  nothing. A drained queue resets, a queue that never
+         *  drains reclaims its dead prefix before the arrays would
+         *  grow, and the retained capacity keeps enqueueing
+         *  allocation-free once warm. Depth is unbounded: it follows
+         *  the issuers' outstanding requests. */
+        std::vector<Key> keys;
+        std::vector<Pending> entries;
+        std::size_t head = 0;
+
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         bool schedulerActive = false;
@@ -227,13 +250,13 @@ class Dram
     /** Record an activate for the tFAW window. */
     void recordActivate(Channel &channel, Cycle when);
 
-    /** Decompose an address into channel / bank / row. */
-    void decode(Addr line_addr, unsigned &channel, unsigned &bank,
-                std::uint64_t &row) const;
+    /** Channel of @p line_addr and the address within it (the
+     *  decode uses shifts and masks: every geometry field is a power
+     *  of two). */
+    std::uint64_t channelLocal(Addr line_addr, unsigned &channel) const;
 
-    /** Channel of @p line_addr (the only decode component enqueuing
-     *  needs; bank/row are re-derived at dispatch). */
-    unsigned decodeChannel(Addr line_addr) const;
+    /** Bank / row of a channel-local address. */
+    Key localKey(std::uint64_t local) const;
 
     /** Enqueue one run of lines with per-line callbacks minted from
      *  @p node (shared burst/fanout state). */
@@ -250,6 +273,11 @@ class Dram
     void issueRequest(Channel &channel, std::size_t pick);
 
     DramConfig cfg;
+    /** log2 of the power-of-two geometry fields. */
+    unsigned interleaveShift;
+    unsigned channelShift;
+    unsigned rowShift;
+    unsigned bankShift;
     EventQueue &events;
     BurstPool bursts;
     std::vector<Channel> channelState;

@@ -31,8 +31,7 @@ struct MemRequest
 
 /** Inline capture budget of a memory completion callback: engine
  *  item completions and burst-join handles are at most a couple of
- *  pointers plus a word (see kEventCaptureBytes for how this nests
- *  inside event callbacks without spilling). */
+ *  pointers plus a word. */
 constexpr std::size_t kMemCaptureBytes = 32;
 
 /** Completion callback invoked when a timing request finishes.

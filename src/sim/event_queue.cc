@@ -40,18 +40,17 @@ EventQueue::schedule(Cycle when, Callback cb)
 {
     SGCN_ASSERT(when >= currentCycle,
                 "scheduling into the past: ", when, " < ", currentCycle);
-    const std::uint32_t slot = acquireSlot(std::move(cb));
-    const std::uint64_t seq = nextSeq++;
     ++pendingCount;
     if (when - currentCycle < kWheelSpan) {
         // Within the horizon every bucket holds at most one distinct
-        // cycle, and appends arrive in seq order, so position in the
-        // bucket is FIFO order.
+        // cycle, and appends arrive in schedule order, so position in
+        // the bucket is FIFO order.
         const std::size_t bucket = when & kWheelMask;
-        wheel[bucket].push_back(WheelEvent{seq, slot});
+        wheel[bucket].push_back(std::move(cb));
         markBucket(bucket);
     } else {
-        farHeap.push_back(FarEvent{when, seq, slot});
+        farHeap.push_back(
+            FarEvent{when, nextFarSeq++, acquireSlot(std::move(cb))});
         std::push_heap(farHeap.begin(), farHeap.end(), Later{});
     }
 }
@@ -85,48 +84,41 @@ EventQueue::nearTime() const
 }
 
 Cycle
-EventQueue::nextTime() const
+EventQueue::farTime() const
 {
-    const Cycle near = nearTime();
-    const Cycle far = farHeap.empty()
-                          ? std::numeric_limits<Cycle>::max()
-                          : farHeap.front().when;
-    return std::min(near, far);
+    return farHeap.empty() ? std::numeric_limits<Cycle>::max()
+                           : farHeap.front().when;
 }
 
-bool
-EventQueue::step()
+Cycle
+EventQueue::nextTime() const
 {
-    if (pendingCount == 0)
-        return false;
+    return std::min(nearTime(), farTime());
+}
 
-    const Cycle t_near = nearTime();
-    const Cycle t_far = farHeap.empty()
-                            ? std::numeric_limits<Cycle>::max()
-                            : farHeap.front().when;
-
-    std::uint32_t slot;
+void
+EventQueue::execute(Cycle t_near, Cycle t_far)
+{
+    --pendingCount;
+    ++executedCount;
+    // Move the callback out before invoking it: the callback may
+    // schedule more events, appending to the bucket it came from or
+    // reusing its far slot.
+    Callback cb;
     if (t_far <= t_near) {
         // Ties drain the far heap first: a far event of this cycle
         // was necessarily scheduled before every wheel event of this
-        // cycle (it predates the horizon reaching the cycle), so its
-        // seq is smaller.
+        // cycle (it predates the horizon reaching the cycle).
         currentCycle = t_far;
         std::pop_heap(farHeap.begin(), farHeap.end(), Later{});
-        slot = farHeap.back().slot;
+        const std::uint32_t slot = farHeap.back().slot;
         farHeap.pop_back();
+        cb = std::move(slots[slot]);
+        freeSlots.push_back(slot);
     } else {
         currentCycle = t_near;
-        slot = wheel[currentCycle & kWheelMask][activePos++].slot;
+        cb = std::move(wheel[currentCycle & kWheelMask][activePos++]);
     }
-
-    --pendingCount;
-    ++executedCount;
-    // Move the callback out and free its slot before invoking so the
-    // callback may schedule more events (including at the current
-    // time, reusing the slot) safely.
-    Callback cb = std::move(slots[slot]);
-    freeSlots.push_back(slot);
     cb();
 
     // Retire the active bucket once fully drained (the callback may
@@ -138,14 +130,29 @@ EventQueue::step()
         activePos = 0;
         clearBucket(currentCycle & kWheelMask);
     }
+}
+
+bool
+EventQueue::step()
+{
+    if (pendingCount == 0)
+        return false;
+    execute(nearTime(), farTime());
     return true;
 }
 
 Cycle
 EventQueue::run(Cycle limit)
 {
-    while (pendingCount != 0 && nextTime() <= limit)
-        step();
+    // One bitmap scan per event: the times that decide whether the
+    // next event is within the limit also pick which one it is.
+    while (pendingCount != 0) {
+        const Cycle t_near = nearTime();
+        const Cycle t_far = farTime();
+        if (std::min(t_near, t_far) > limit)
+            break;
+        execute(t_near, t_far);
+    }
     if (currentCycle < limit && pendingCount == 0)
         return currentCycle;
     currentCycle = std::max(currentCycle, std::min(limit, nextTime()));

@@ -11,21 +11,21 @@
  * heap-op-free:
  *
  *  - Callbacks are SmallFunction, not std::function: scheduling an
- *    event with a capture up to kEventCaptureBytes (every callback
- *    the memory system and timing engines produce) never touches the
+ *    event with a capture up to kEventCaptureBytes never touches the
  *    heap, and larger captures recycle fixed-size blocks through a
- *    thread-local slab (sim/small_function.hh). Callbacks live in a
- *    stable slot pool until execution, so ordering structures only
- *    move small PODs.
+ *    thread-local slab (sim/small_function.hh).
  *
  *  - Events within kWheelSpan cycles of now (DRAM bursts, cache hit
  *    latencies, scheduler polls — the overwhelming majority) go into
- *    a timing wheel: a ring of per-cycle buckets with a non-empty
- *    bitmap, making schedule and dispatch O(1). Farther events go to
- *    a small binary heap and drain before same-cycle wheel events —
- *    which preserves global FIFO order exactly, because an event can
- *    only have reached the far heap by being scheduled before every
- *    wheel event of the same cycle (the horizon only advances).
+ *    a timing wheel: a ring of per-cycle buckets, each holding its
+ *    callbacks in FIFO order, with a non-empty bitmap, making
+ *    schedule and dispatch O(1). Farther events go to a small binary
+ *    heap and drain before same-cycle wheel events — which preserves
+ *    global FIFO order exactly, because an event can only have
+ *    reached the far heap by being scheduled before every wheel
+ *    event of the same cycle (the horizon only advances). Far
+ *    callbacks wait in a stable slot pool, so the heap only moves
+ *    small PODs.
  */
 
 #ifndef SGCN_SIM_EVENT_QUEUE_HH
@@ -42,8 +42,10 @@
 namespace sgcn
 {
 
-/** Inline capture budget of an event callback: sized so a callback
- *  capturing `this` plus a moved-in MemCallback stays inline. */
+/** Inline capture budget of an event callback: a pointer plus a few
+ *  words (scheduler wake-ups, cache and engine completions). A DRAM
+ *  completion, `this` plus a moved-in MemCallback, is 64 bytes and
+ *  takes a slab block. */
 constexpr std::size_t kEventCaptureBytes = 48;
 
 /** Minimal discrete-event kernel driving all timing simulation. */
@@ -92,14 +94,8 @@ class EventQueue
     static constexpr std::size_t kWheelMask = kWheelSpan - 1;
     static constexpr std::size_t kBitmapWords = kWheelSpan / 64;
 
-    /** An event minus its time: the wheel bucket implies the cycle,
-     *  the far heap stores it alongside. */
-    struct WheelEvent
-    {
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
-
+    /** A far event: its callback waits in slots[slot]; seq orders
+     *  far events of the same cycle. */
     struct FarEvent
     {
         Cycle when;
@@ -125,22 +121,30 @@ class EventQueue
     /** Earliest non-empty wheel cycle (max Cycle if none). */
     Cycle nearTime() const;
 
+    /** Earliest far-heap cycle (max Cycle if none). */
+    Cycle farTime() const;
+
+    /** Execute the earliest event, given the two next times (one of
+     *  them finite). */
+    void execute(Cycle t_near, Cycle t_far);
+
     void markBucket(std::size_t bucket);
     void clearBucket(std::size_t bucket);
 
-    std::array<std::vector<WheelEvent>, kWheelSpan> wheel;
+    /** Per-cycle callbacks in schedule order. */
+    std::array<std::vector<Callback>, kWheelSpan> wheel;
     std::array<std::uint64_t, kBitmapWords> bucketBits{};
     /** Drain cursor into the bucket at currentCycle. */
     std::size_t activePos = 0;
 
     std::vector<FarEvent> farHeap;
+    std::uint64_t nextFarSeq = 0;
 
     std::vector<Callback> slots;
     std::vector<std::uint32_t> freeSlots;
 
     std::size_t pendingCount = 0;
     Cycle currentCycle = 0;
-    std::uint64_t nextSeq = 0;
     std::uint64_t executedCount = 0;
 };
 

@@ -107,9 +107,9 @@ const ClusteredGraphParams kGraph100k{
     .jobs = 0,
 };
 
-// Warm event scheduling recycles the timing wheel's slots, keeps
-// captures up to kEventCaptureBytes inline and takes larger ones from
-// a thread-local slab: no allocation per event for any shape.
+// Warm event scheduling reuses the timing wheel buckets' capacity,
+// keeps captures up to kEventCaptureBytes inline and takes larger ones
+// from a thread-local slab: no allocation per event for any shape.
 TEST(AllocBounds, EventSchedulingPerEvent)
 {
     constexpr int kBatch = 4096;
@@ -123,8 +123,8 @@ TEST(AllocBounds, EventSchedulingPerEvent)
             events.run();
         };
         // Each batch advances time 63 cycles: warm until every bucket
-        // of the 256-cycle timing wheel, the slot pool and the spill
-        // slab have held a batch.
+        // of the 256-cycle timing wheel and the spill slab have held
+        // a batch.
         for (int r = 0; r < kRounds; ++r)
             batch();
         const std::uint64_t start = allocations();

@@ -181,6 +181,19 @@ TEST(EdgeCasesDeath, MisalignedDramRequestPanics)
         "line-aligned");
 }
 
+TEST(EdgeCasesDeath, NonPowerOfTwoDramChannelsPanic)
+{
+    // The address decode is shifts and masks.
+    EXPECT_DEATH(
+        {
+            DramConfig config = DramConfig::hbm2();
+            config.channels = 6;
+            EventQueue events;
+            Dram dram(config, events);
+        },
+        "powers of two: 6, 16");
+}
+
 TEST(EdgeCasesDeath, SchedulingIntoThePastPanics)
 {
     EXPECT_DEATH(

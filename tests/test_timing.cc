@@ -112,6 +112,106 @@ TEST(DramTiming, ChannelsSpreadUniformInterleave)
     EXPECT_GT(one_cycles, all_cycles * 5);
 }
 
+/** Line @p col of @p row in @p bank of @p channel: the inverse of
+ *  the DRAM's channel / bank / row decode. */
+Addr
+lineAt(const DramConfig &config, unsigned channel, unsigned bank,
+       std::uint64_t row, unsigned col)
+{
+    const std::uint64_t local =
+        (row * config.banksPerChannel + bank) * config.rowBytes +
+        col * kCachelineBytes;
+    const std::uint64_t stripe =
+        (local / config.interleaveBytes) * config.channels + channel;
+    return stripe * config.interleaveBytes +
+           local % config.interleaveBytes;
+}
+
+struct DramPin
+{
+    Cycle cycles;
+    std::uint64_t rowHits;
+    std::uint64_t rowMisses;
+    Cycle busBusyCycles;
+    std::uint64_t transientRetries;
+    std::uint64_t events;
+};
+
+/** 6,000 lines with 512 in flight, in 64-line segments rotating over
+ *  a sequential run, random lines, and a row ping-pong over banks 0
+ *  and 1 of channel 0. 512 in flight keeps channel queues far deeper
+ *  than schedWindow, so FR-FCFS picks from mid-queue. */
+DramPin
+runMixedTrace(DramConfig config, double retry_prob)
+{
+    config.transientRetryProb = retry_prob;
+    EventQueue events;
+    Dram dram(config, events);
+    Rng rng(11);
+    Addr run_base = 0;
+    std::uint64_t pingpong = 0;
+    const unsigned row_lines = config.rowBytes / kCachelineBytes;
+    const Cycle cycles =
+        drive(dram, events, 6000, 512, [&](std::uint64_t i) -> Addr {
+            const std::uint64_t offset = i % 64;
+            switch ((i / 64) % 3) {
+            case 0:
+                if (offset == 0)
+                    run_base = rng.uniformInt(1 << 16) * config.rowBytes;
+                return run_base + offset * kCachelineBytes;
+            case 1:
+                return rng.uniformInt(1 << 22) * kCachelineBytes;
+            default: {
+                const std::uint64_t k = pingpong++;
+                return lineAt(config, 0, static_cast<unsigned>(k & 1),
+                              (k >> 1) & 1,
+                              static_cast<unsigned>((k >> 2) %
+                                                    row_lines));
+            }
+            }
+        });
+    return DramPin{cycles,
+                   dram.rowHits(),
+                   dram.rowMisses(),
+                   dram.busBusyCycles(),
+                   dram.transientRetries(),
+                   events.executed()};
+}
+
+TEST(DramTiming, MixedTraceIsPinnedExactly)
+{
+    // Exact scheduler outcomes, retry push-back included: any change
+    // to pick order, bank timing, retry re-queueing or event order
+    // moves at least one of these.
+    struct Case
+    {
+        const char *name;
+        DramConfig config;
+        double retryProb;
+        DramPin want;
+    };
+    const Case cases[] = {
+        {"HBM2", DramConfig::hbm2(), 0.0,
+         {5523, 3955, 2045, 12000, 0, 15011}},
+        {"HBM2 retry 0.2", DramConfig::hbm2(), 0.2,
+         {6971, 5521, 1931, 14904, 1452, 17437}},
+        {"HBM1", DramConfig::hbm1(), 0.0,
+         {9980, 4002, 1998, 24000, 0, 15405}},
+        {"HBM1 retry 0.2", DramConfig::hbm1(), 0.2,
+         {12372, 5574, 1875, 29796, 1449, 18202}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const DramPin got = runMixedTrace(c.config, c.retryProb);
+        EXPECT_EQ(got.cycles, c.want.cycles);
+        EXPECT_EQ(got.rowHits, c.want.rowHits);
+        EXPECT_EQ(got.rowMisses, c.want.rowMisses);
+        EXPECT_EQ(got.busBusyCycles, c.want.busBusyCycles);
+        EXPECT_EQ(got.transientRetries, c.want.transientRetries);
+        EXPECT_EQ(got.events, c.want.events);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Timing layer engine across dataflows
 // ---------------------------------------------------------------------
