@@ -139,19 +139,15 @@ runFast(EngineContext &ec, LayerResult &result)
         for (const EngineContext::SweepEntry &entry : entries) {
             for (std::size_t i = entry.pickBegin; i < entry.pickEnd;
                  ++i) {
-                const VertexId dst = picks[i];
-                AccessPlan strip_plan;
-                strip_plan.addBytes(
+                const Addr strip_addr =
                     AddressMap::kPsumBase +
-                        static_cast<Addr>(dst) * psum_stride +
-                        static_cast<Addr>(begin_col) * kFeatureBytes,
-                    strip_bytes);
-                strip_plan.forEachLine([&](Addr line) {
-                    ec.psumBuffer->accessFunctional(MemRequest{
-                        line, MemOp::Read, TrafficClass::PartialSum});
-                    ec.psumBuffer->accessFunctional(MemRequest{
-                        line, MemOp::Write, TrafficClass::PartialSum});
-                });
+                    static_cast<Addr>(picks[i]) * psum_stride +
+                    static_cast<Addr>(begin_col) * kFeatureBytes;
+                ec.psumBuffer->accessRunRmwFunctional(
+                    alignDown(strip_addr, kCachelineBytes),
+                    static_cast<std::uint32_t>(
+                        linesTouched(strip_addr, strip_bytes)),
+                    TrafficClass::PartialSum);
             }
             engine_cycles[entry.engine] +=
                 entry.walk * pick_cost;

@@ -1,24 +1,71 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "sim/logging.hh"
 
 namespace sgcn
 {
 
+#if defined(__SSE2__)
+namespace
+{
+
+/** Load the 16 lanes of a 16-way tag or stamp row. */
+[[gnu::always_inline]] inline void
+loadRow16(const std::uint32_t *row, __m128i v[4])
+{
+    const auto *quads = reinterpret_cast<const __m128i *>(row);
+    for (int q = 0; q < 4; ++q)
+        v[q] = _mm_loadu_si128(quads + q);
+}
+
+/** Bit w set where lane w of the 16-lane row @p v equals the same
+ *  lane of @p key: four compares packed down to one byte mask. */
+[[gnu::always_inline]] inline unsigned
+equalLanes16(const __m128i v[4], __m128i key)
+{
+    const __m128i lo = _mm_packs_epi32(_mm_cmpeq_epi32(v[0], key),
+                                       _mm_cmpeq_epi32(v[1], key));
+    const __m128i hi = _mm_packs_epi32(_mm_cmpeq_epi32(v[2], key),
+                                       _mm_cmpeq_epi32(v[3], key));
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+}
+
+/** Signed 32-bit lane minimum (SSE2 has no pminsd). */
+[[gnu::always_inline]] inline __m128i
+min32(__m128i a, __m128i b)
+{
+    const __m128i lt = _mm_cmplt_epi32(a, b);
+    return _mm_or_si128(_mm_and_si128(lt, a), _mm_andnot_si128(lt, b));
+}
+
+} // namespace
+#endif
+
 Cache::Cache(const CacheConfig &config, Dram &dram_module,
              EventQueue &queue)
     : cfg(config), dram(dram_module), events(queue)
 {
     SGCN_ASSERT(cfg.ways > 0 && cfg.sizeBytes > 0);
+    SGCN_ASSERT(cfg.ways <= kMaxWays, "cache associativity must be at "
+                "most ", kMaxWays, " ways (one pin-mask bit per way), "
+                "got ", cfg.ways);
     const std::uint64_t num_sets = cfg.numSets();
     SGCN_ASSERT(num_sets > 0 && isPowerOfTwo(num_sets),
                 "cache sets must be a power of two, got ", num_sets);
     const std::size_t lines =
         static_cast<std::size_t>(num_sets) * cfg.ways;
-    lineTagUse.assign(lines, makeEntry(kInvalidTag, 0));
+    lineTag.assign(lines, kInvalidTag);
+    lineStamp.assign(lines, 0);
     lineMeta.assign(lines, 0);
+    setPinned.assign(static_cast<std::size_t>(num_sets), 0);
     setMask = num_sets - 1;
     setShift = log2Floor(num_sets);
 
@@ -183,10 +230,81 @@ Cache::setIndex(Addr line_addr) const
     return (line_addr / kCachelineBytes) & setMask;
 }
 
-std::uint64_t
+std::uint32_t
 Cache::tagOf(Addr line_addr) const
 {
-    return (line_addr / kCachelineBytes) >> setShift;
+    const std::uint64_t tag = (line_addr / kCachelineBytes) >> setShift;
+    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
+                "tag range: ", line_addr);
+    return static_cast<std::uint32_t>(tag);
+}
+
+[[gnu::always_inline]] inline unsigned
+Cache::matchWay(std::size_t base, std::uint32_t tag) const
+{
+    const std::uint32_t *tags = lineTag.data() + base;
+#if defined(__SSE2__)
+    if (cfg.ways == 16) {
+        // Tags are unique within a set, except kInvalidTag, which a
+        // valid tag never equals (tagOf asserts it); looking up
+        // kInvalidTag thus finds the lowest invalid way.
+        __m128i v[4];
+        loadRow16(tags, v);
+        const unsigned hits =
+            equalLanes16(v, _mm_set1_epi32(static_cast<int>(tag)));
+        return hits != 0 ? static_cast<unsigned>(std::countr_zero(hits))
+                         : kNoWay;
+    }
+#endif
+    for (unsigned w = 0; w < cfg.ways; ++w) {
+        if (tags[w] == tag)
+            return w;
+    }
+    return kNoWay;
+}
+
+[[gnu::always_inline]] inline unsigned
+Cache::victimWay(std::size_t base, std::uint64_t pinned) const
+{
+    const std::uint32_t *stamps = lineStamp.data() + base;
+#if defined(__SSE2__)
+    if (cfg.ways == 16) {
+        __m128i v[4];
+        loadRow16(stamps, v);
+        if (pinned != 0) {
+            // A pinned lane reads as the largest stamp, so it ties
+            // for the minimum only when every unpinned lane holds
+            // that stamp too; the mask below then drops it.
+            __m128i bits = _mm_set1_epi32(static_cast<int>(pinned));
+            const __m128i lanes = _mm_setr_epi32(1, 2, 4, 8);
+            for (__m128i &q : v) {
+                q = _mm_or_si128(
+                    q, _mm_cmpeq_epi32(_mm_and_si128(bits, lanes), lanes));
+                bits = _mm_srli_epi32(bits, 4);
+            }
+        }
+        // Flipping the sign bit orders unsigned stamps as signed.
+        const __m128i sign = _mm_set1_epi32(INT32_MIN);
+        for (__m128i &q : v)
+            q = _mm_xor_si128(q, sign);
+        __m128i m = min32(min32(v[0], v[1]), min32(v[2], v[3]));
+        m = min32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
+        m = min32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
+        const unsigned lowest =
+            equalLanes16(v, m) & ~static_cast<unsigned>(pinned);
+        return lowest != 0
+                   ? static_cast<unsigned>(std::countr_zero(lowest))
+                   : kNoWay;
+    }
+#endif
+    unsigned best = kNoWay;
+    for (unsigned w = 0; w < cfg.ways; ++w) {
+        if ((pinned >> w) & 1)
+            continue;
+        if (best == kNoWay || stamps[w] < stamps[best])
+            best = w;
+    }
+    return best;
 }
 
 std::uint32_t
@@ -203,24 +321,22 @@ Cache::renormalizeUseStamps()
     // Dense-rank the live stamps. The policies only ever compare
     // stamps, so any order-preserving remap (ties included) is
     // behavior-identical; nonzero ranks start at 1 so 0 stays
-    // strictly below every valid line's stamp — the invariant the
-    // fused invalid-first/min-use victim scan relies on.
+    // strictly below every valid line's stamp, the invariant that
+    // makes the min-stamp victim pick invalid-first.
     std::vector<std::uint32_t> sorted;
-    sorted.reserve(lineTagUse.size());
-    for (std::uint64_t entry : lineTagUse) {
-        if (entryUse(entry) != 0)
-            sorted.push_back(entryUse(entry));
+    sorted.reserve(lineStamp.size());
+    for (std::uint32_t stamp : lineStamp) {
+        if (stamp != 0)
+            sorted.push_back(stamp);
     }
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()),
                  sorted.end());
-    for (std::uint64_t &entry : lineTagUse) {
-        const std::uint32_t use = entryUse(entry);
-        if (use != 0) {
-            const auto rank = static_cast<std::uint32_t>(
-                std::lower_bound(sorted.begin(), sorted.end(), use) -
+    for (std::uint32_t &stamp : lineStamp) {
+        if (stamp != 0) {
+            stamp = static_cast<std::uint32_t>(
+                std::lower_bound(sorted.begin(), sorted.end(), stamp) -
                 sorted.begin() + 1);
-            entry = makeEntry(entryTag(entry), rank);
         }
     }
     useCounter = sorted.size();
@@ -231,175 +347,91 @@ Cache::probe(Addr line_addr)
 {
     const std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-    const std::uint64_t tag = tagOf(line_addr);
-    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
-                "tag range: ", line_addr);
-    const std::uint64_t *entries = lineTagUse.data() + base;
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (entryTag(entries[w]) == tag) {
-            const std::size_t index = base + w;
-            // FIFO keeps the fill timestamp; the others promote.
-            if (cfg.replacement != ReplacementPolicy::Fifo) {
-                lineTagUse[index] = makeEntry(
-                    static_cast<std::uint32_t>(tag), nextUseStamp());
-            }
-            lineMeta[index] &= static_cast<std::uint8_t>(
-                ~kRrpvMask); // SRRIP: re-referenced -> near
-            return index;
-        }
-    }
-    return kNoLine;
+    const unsigned way = matchWay(base, tagOf(line_addr));
+    if (way == kNoWay)
+        return kNoLine;
+    const std::size_t index = base + way;
+    // FIFO keeps the fill timestamp; the others promote.
+    if (cfg.replacement != ReplacementPolicy::Fifo)
+        lineStamp[index] = nextUseStamp();
+    lineMeta[index] &= static_cast<std::uint8_t>(
+        ~kRrpvMask); // SRRIP: re-referenced -> near
+    return index;
 }
 
-std::size_t
-Cache::selectVictim(std::size_t base)
+unsigned
+Cache::selectVictim(std::size_t base, std::uint64_t pinned)
 {
-    // The pinned checks only matter while DAVC pins are live; the
-    // global count lets the common case scan flag-free.
-    const bool pins = pinnedLines != 0;
-    switch (cfg.replacement) {
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        std::size_t victim = kNoLine;
-        std::uint32_t best = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            const std::size_t index = base + w;
-            if (pins && (lineMeta[index] & kLinePinned))
-                continue;
-            if (victim == kNoLine ||
-                entryUse(lineTagUse[index]) < best) {
-                victim = index;
-                best = entryUse(lineTagUse[index]);
-            }
-        }
-        return victim;
-      }
-      case ReplacementPolicy::Random: {
+    if (cfg.replacement == ReplacementPolicy::Random) {
         // Deterministic xorshift over unpinned ways.
-        unsigned candidates = 0;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (!pins || !(lineMeta[base + w] & kLinePinned))
-                ++candidates;
-        }
-        if (candidates == 0)
-            return kNoLine;
+        const unsigned candidates =
+            cfg.ways - static_cast<unsigned>(std::popcount(pinned));
         victimSeed ^= victimSeed << 13;
         victimSeed ^= victimSeed >> 7;
         victimSeed ^= victimSeed << 17;
-        unsigned pick =
-            static_cast<unsigned>(victimSeed % candidates);
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (pins && (lineMeta[base + w] & kLinePinned))
-                continue;
-            if (pick-- == 0)
-                return base + w;
-        }
-        return kNoLine;
-      }
-      case ReplacementPolicy::Srrip: {
-        // Evict a line with maximal RRPV (3); age everyone until one
-        // appears.
-        while (true) {
-            for (unsigned w = 0; w < cfg.ways; ++w) {
-                const std::size_t index = base + w;
-                if ((!pins || !(lineMeta[index] & kLinePinned)) &&
-                    (lineMeta[index] & kRrpvMask) == kRrpvMask) {
-                    return index;
-                }
-            }
-            bool aged = false;
-            for (unsigned w = 0; w < cfg.ways; ++w) {
-                const std::size_t index = base + w;
-                if ((!pins || !(lineMeta[index] & kLinePinned)) &&
-                    (lineMeta[index] & kRrpvMask) != kRrpvMask) {
-                    lineMeta[index] = static_cast<std::uint8_t>(
-                        lineMeta[index] + (1u << kRrpvShift));
-                    aged = true;
-                }
-            }
-            if (!aged)
-                return kNoLine;
-        }
-      }
+        unsigned pick = static_cast<unsigned>(victimSeed % candidates);
+        unsigned w = 0;
+        while (((pinned >> w) & 1) || pick-- != 0)
+            ++w;
+        return w;
     }
-    return kNoLine;
+    // SRRIP: evict an unpinned line with maximal RRPV (3); age the
+    // unpinned lines until one appears.
+    while (true) {
+        for (unsigned w = 0; w < cfg.ways; ++w) {
+            if (!((pinned >> w) & 1) &&
+                (lineMeta[base + w] & kRrpvMask) == kRrpvMask) {
+                return w;
+            }
+        }
+        for (unsigned w = 0; w < cfg.ways; ++w) {
+            if (!((pinned >> w) & 1)) {
+                lineMeta[base + w] = static_cast<std::uint8_t>(
+                    lineMeta[base + w] + (1u << kRrpvShift));
+            }
+        }
+    }
 }
 
 std::size_t
-Cache::fill(Addr line_addr, bool timing, TrafficClass cls)
+Cache::fill(Addr line_addr, bool timing)
 {
     // Any fill may evict the line behind the duplicate-access fast
     // path (timing fills and pins included); drop the memo.
     lastFunctionalAddr = ~Addr{0};
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
+    const std::uint64_t set = setIndex(line_addr);
+    const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
+    const std::uint64_t pinned = setPinned[set];
 
     // Invalid lines win outright; otherwise the policy picks among
-    // unpinned lines. Fully pinned sets fall back to plain LRU so
-    // pinning can never deadlock the cache.
-    std::size_t victim = kNoLine;
+    // unpinned lines. Under LRU/FIFO invalid lines carry a zero use
+    // stamp, strictly below every valid line's, so the min-stamp
+    // pick is both rules at once.
+    unsigned way;
     if (cfg.replacement == ReplacementPolicy::Lru ||
         cfg.replacement == ReplacementPolicy::Fifo) {
-        // Invalid lines carry a zero use stamp, strictly below every
-        // valid line's, so a single min-use scan implements both the
-        // invalid-first rule and the LRU/FIFO policy — one pass on
-        // the dominant (streaming-miss) path instead of three.
-        const std::uint64_t *entries = lineTagUse.data() + base;
-        if (pinnedLines == 0) {
-            unsigned bestw = 0;
-            for (unsigned w = 1; w < cfg.ways; ++w) {
-                if (entryUse(entries[w]) < entryUse(entries[bestw]))
-                    bestw = w;
-            }
-            victim = base + bestw;
-        } else {
-            std::uint32_t best = ~0u;
-            for (unsigned w = 0; w < cfg.ways; ++w) {
-                if (lineMeta[base + w] & kLinePinned)
-                    continue;
-                if (victim == kNoLine || entryUse(entries[w]) < best) {
-                    victim = base + w;
-                    best = entryUse(entries[w]);
-                }
-            }
-        }
+        way = victimWay(base, pinned);
     } else {
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (entryTag(lineTagUse[base + w]) == kInvalidTag) {
-                victim = base + w;
-                break;
-            }
-        }
-        if (victim == kNoLine)
-            victim = selectVictim(base);
+        way = matchWay(base, kInvalidTag);
+        if (way == kNoWay)
+            way = selectVictim(base, pinned);
     }
-    if (victim == kNoLine) {
-        std::uint32_t best = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (victim == kNoLine ||
-                entryUse(lineTagUse[base + w]) < best) {
-                victim = base + w;
-                best = entryUse(lineTagUse[base + w]);
-            }
-        }
-    }
-    installAt(victim, line_addr, timing, cls);
-    return victim;
+    installAt(base + way, line_addr, timing);
+    return base + way;
 }
 
-void
-Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
-                 TrafficClass cls)
+[[gnu::always_inline]] inline void
+Cache::installAt(std::size_t victim, Addr line_addr, bool timing)
 {
-    if (entryTag(lineTagUse[victim]) != kInvalidTag) {
+    const std::uint64_t set = setIndex(line_addr);
+    if (lineTag[victim] != kInvalidTag) {
         ++statCounters.evictions;
         if (lineMeta[victim] & kLineDirty) {
             ++statCounters.writebacks;
             // Reconstruct the victim's address for the writeback.
             const Addr victim_addr =
-                (static_cast<Addr>(entryTag(lineTagUse[victim])) *
-                     (setMask + 1) +
-                 setIndex(line_addr)) *
+                (static_cast<Addr>(lineTag[victim]) * (setMask + 1) +
+                 set) *
                 kCachelineBytes;
             // Victim classes are not tracked per line; dirty victims
             // are always output features in the modeled dataflows.
@@ -410,17 +442,11 @@ Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
             else
                 functionalTraffic.add(MemOp::Write,
                                       TrafficClass::FeatureOut);
-            (void)cls;
         }
     }
 
-    if (lineMeta[victim] & kLinePinned)
-        --pinnedLines;
-    const std::uint64_t tag = tagOf(line_addr);
-    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
-                "tag range: ", line_addr);
-    lineTagUse[victim] = makeEntry(static_cast<std::uint32_t>(tag),
-                                   nextUseStamp());
+    lineTag[victim] = tagOf(line_addr);
+    lineStamp[victim] = nextUseStamp();
     // SRRIP inserts at a distant re-reference prediction (2): a line
     // must prove reuse before it may displace proven lines.
     lineMeta[victim] = 2 << kRrpvShift;
@@ -501,7 +527,6 @@ void
 Cache::startMiss(const MemRequest &request, MemCallback done)
 {
     MshrEntry &mshr = mshrAllocate(request.lineAddr);
-    mshr.cls = request.cls;
     mshr.anyWrite = (request.op == MemOp::Write);
     if (done)
         mshrPushTarget(mshr, std::move(done));
@@ -520,7 +545,7 @@ Cache::finishMiss(Addr line_addr)
     MshrEntry *mshr = mshrFind(line_addr);
     SGCN_ASSERT(mshr != nullptr, "fill for unknown MSHR");
 
-    const std::size_t line = fill(line_addr, true, mshr->cls);
+    const std::size_t line = fill(line_addr, true);
     if (mshr->anyWrite)
         lineMeta[line] |= kLineDirty;
 
@@ -566,42 +591,6 @@ Cache::drainPendingQueue()
     }
 }
 
-bool
-Cache::accessFunctional(const MemRequest &request)
-{
-    SGCN_ASSERT(isAligned(request.lineAddr, kCachelineBytes));
-    // Back-to-back accesses to one line (the read-modify-write
-    // partial-sum pattern) are guaranteed hits on an already-MRU
-    // line: skip the tag scan and the LRU promotion (the skipped
-    // useCounter tick shifts later stamps uniformly, preserving
-    // their order and thus every future eviction decision).
-    if (request.lineAddr == lastFunctionalAddr) {
-        ++statCounters.hits;
-        if (request.op == MemOp::Write)
-            lineMeta[lastFunctionalIndex] |= kLineDirty;
-        lineMeta[lastFunctionalIndex] &=
-            static_cast<std::uint8_t>(~kRrpvMask); // as probe would
-        return true;
-    }
-    const std::size_t hit = probe(request.lineAddr);
-    if (hit != kNoLine) {
-        lastFunctionalAddr = request.lineAddr;
-        lastFunctionalIndex = hit;
-        ++statCounters.hits;
-        if (request.op == MemOp::Write)
-            lineMeta[hit] |= kLineDirty;
-        return true;
-    }
-    ++statCounters.misses;
-    functionalTraffic.add(MemOp::Read, request.cls);
-    const std::size_t line = fill(request.lineAddr, false, request.cls);
-    lastFunctionalAddr = request.lineAddr;
-    lastFunctionalIndex = line;
-    if (request.op == MemOp::Write)
-        lineMeta[line] |= kLineDirty;
-    return false;
-}
-
 void
 Cache::accessPlanFunctional(const AccessPlan &plan, MemOp op,
                             TrafficClass cls)
@@ -611,145 +600,138 @@ Cache::accessPlanFunctional(const AccessPlan &plan, MemOp op,
                             cls);
 }
 
-void
+std::uint32_t
 Cache::accessRunFunctional(Addr line_addr, std::uint32_t lines,
                            MemOp op, TrafficClass cls)
 {
-    // Per-line behavior is accessFunctional's exactly; statistics
-    // post once per run. Under LRU/FIFO with no live pins, the tag
-    // scan and the min-stamp victim scan fuse into one pass over
-    // the set's packed tag/stamp entries (RRPV bookkeeping is dead
-    // under these policies and skipped).
-    const bool write = (op == MemOp::Write);
-    const bool fused = (cfg.replacement == ReplacementPolicy::Lru ||
-                        cfg.replacement == ReplacementPolicy::Fifo) &&
-                       pinnedLines == 0;
-    const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
+    return runFunctional(line_addr, lines, op == MemOp::Write, false,
+                         cls);
+}
+
+void
+Cache::accessRunRmwFunctional(Addr line_addr, std::uint32_t lines,
+                              TrafficClass cls)
+{
+    runFunctional(line_addr, lines, true, true, cls);
+    statCounters.hits += lines;
+}
+
+std::uint32_t
+Cache::runFunctional(Addr line_addr, std::uint32_t lines, bool write,
+                     bool rmw, TrafficClass cls)
+{
+    // Back-to-back accesses to one line (a run starting where the
+    // last one ended) are hits on an already-MRU line: skip the tag
+    // match and the LRU promotion (the skipped useCounter tick shifts
+    // later stamps uniformly, preserving their order and thus every
+    // future eviction).
     std::uint32_t hit_lines = 0;
-    for (std::uint32_t i = 0; i < lines;
-         ++i, line_addr += kCachelineBytes) {
-        if (line_addr == lastFunctionalAddr) {
-            ++hit_lines;
-            if (write)
-                lineMeta[lastFunctionalIndex] |= kLineDirty;
-            if (!fused) {
-                lineMeta[lastFunctionalIndex] &=
-                    static_cast<std::uint8_t>(~kRrpvMask);
-            }
-            continue;
-        }
-        if (!fused) {
-            const std::size_t hit = probe(line_addr);
-            if (hit != kNoLine) {
-                lastFunctionalAddr = line_addr;
-                lastFunctionalIndex = hit;
+    if (cfg.replacement == ReplacementPolicy::Lru ||
+        cfg.replacement == ReplacementPolicy::Fifo) {
+        // One fused step per line: the tag match, then on a miss the
+        // victim pick over the unpinned ways. RRPV bookkeeping is
+        // dead under these policies and skipped.
+        const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
+        for (std::uint32_t i = 0; i < lines;
+             ++i, line_addr += kCachelineBytes) {
+            std::size_t index = lastFunctionalIndex;
+            if (line_addr == lastFunctionalAddr) {
                 ++hit_lines;
-                if (write)
-                    lineMeta[hit] |= kLineDirty;
-                continue;
+            } else {
+                const std::uint64_t set = setIndex(line_addr);
+                const std::size_t base =
+                    static_cast<std::size_t>(set) * cfg.ways;
+                const unsigned way = matchWay(base, tagOf(line_addr));
+                if (way != kNoWay) {
+                    ++hit_lines;
+                    index = base + way;
+                    if (promote)
+                        lineStamp[index] = nextUseStamp();
+                } else {
+                    index = base + victimWay(base, setPinned[set]);
+                    installAt(index, line_addr, false);
+                }
+                lastFunctionalAddr = line_addr;
+                lastFunctionalIndex = index;
             }
-            const std::size_t line = fill(line_addr, false, cls);
-            lastFunctionalAddr = line_addr;
-            lastFunctionalIndex = line;
             if (write)
-                lineMeta[line] |= kLineDirty;
-            continue;
+                lineMeta[index] |= kLineDirty;
         }
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-        const std::uint64_t tag = tagOf(line_addr);
-        SGCN_ASSERT(tag < kInvalidTag, "line address past the "
-                    "32-bit tag range: ", line_addr);
-        std::uint64_t *entries = lineTagUse.data() + base;
-        std::size_t hitw = kNoLine;
-        unsigned bestw = 0;
-        std::uint32_t bestuse = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            const std::uint64_t entry = entries[w];
-            if (entryTag(entry) == tag) {
-                hitw = w;
-                break;
+    } else {
+        for (std::uint32_t i = 0; i < lines;
+             ++i, line_addr += kCachelineBytes) {
+            std::size_t index = lastFunctionalIndex;
+            if (line_addr == lastFunctionalAddr) {
+                ++hit_lines;
+                lineMeta[index] &= static_cast<std::uint8_t>(
+                    ~kRrpvMask); // as probe would
+            } else {
+                index = probe(line_addr);
+                if (index != kNoLine)
+                    ++hit_lines;
+                else
+                    index = fill(line_addr, false);
+                lastFunctionalAddr = line_addr;
+                lastFunctionalIndex = index;
             }
-            // Invalid lines stamp 0: one min scan is invalid-first
-            // plus LRU/FIFO at once (see fill()).
-            if (entryUse(entry) < bestuse) {
-                bestuse = entryUse(entry);
-                bestw = w;
-            }
-        }
-        if (hitw != kNoLine) {
-            ++hit_lines;
-            if (promote) {
-                entries[hitw] = makeEntry(
-                    static_cast<std::uint32_t>(tag), nextUseStamp());
-            }
-            lastFunctionalAddr = line_addr;
-            lastFunctionalIndex = base + hitw;
             if (write)
-                lineMeta[base + hitw] |= kLineDirty;
-            continue;
+                lineMeta[index] |= kLineDirty;
+            // The write half of a read-modify-write re-references
+            // the line the read left.
+            if (rmw)
+                lineMeta[index] &= static_cast<std::uint8_t>(~kRrpvMask);
         }
-        const std::size_t victim = base + bestw;
-        installAt(victim, line_addr, false, cls);
-        lastFunctionalAddr = line_addr;
-        lastFunctionalIndex = victim;
-        if (write)
-            lineMeta[victim] |= kLineDirty;
     }
     statCounters.hits += hit_lines;
     statCounters.misses += lines - hit_lines;
     if (hit_lines != lines)
         functionalTraffic.add(MemOp::Read, cls, lines - hit_lines);
+    return hit_lines;
 }
 
 bool
 Cache::pin(Addr line_addr, TrafficClass cls)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-    unsigned pinned = 0;
-    for (unsigned w = 0; w < cfg.ways; ++w)
-        pinned += (lineMeta[base + w] & kLinePinned) ? 1 : 0;
-    // Leave at least half the ways unpinned so the set stays usable.
-    if (pinned >= cfg.ways / 2)
+    const std::uint64_t set = setIndex(line_addr);
+    // Leave at least half the ways unpinned so the set stays usable
+    // and every victim pick has a candidate.
+    if (static_cast<unsigned>(std::popcount(setPinned[set])) >=
+        cfg.ways / 2)
         return false;
 
+    // A hit promotes the pinned line above the memo's line, which
+    // is then no longer MRU.
+    lastFunctionalAddr = ~Addr{0};
     std::size_t line = probe(line_addr);
     if (line == kNoLine) {
         functionalTraffic.add(MemOp::Read, cls);
-        line = fill(line_addr, false, cls);
+        line = fill(line_addr, false);
     }
-    if (!(lineMeta[line] & kLinePinned)) {
-        lineMeta[line] |= kLinePinned;
-        ++pinnedLines;
-    }
+    setPinned[set] |= std::uint64_t{1}
+                      << (line - static_cast<std::size_t>(set) * cfg.ways);
     return true;
 }
 
 void
 Cache::unpinAll()
 {
-    if (pinnedLines == 0)
-        return;
-    for (std::uint8_t &meta : lineMeta)
-        meta &= static_cast<std::uint8_t>(~kLinePinned);
-    pinnedLines = 0;
+    std::fill(setPinned.begin(), setPinned.end(), 0);
 }
 
 void
 Cache::flush()
 {
-    for (std::size_t i = 0; i < lineTagUse.size(); ++i) {
-        if (entryTag(lineTagUse[i]) != kInvalidTag &&
-            (lineMeta[i] & kLineDirty)) {
+    for (std::size_t i = 0; i < lineTag.size(); ++i) {
+        if (lineTag[i] != kInvalidTag && (lineMeta[i] & kLineDirty)) {
             ++statCounters.writebacks;
             functionalTraffic.add(MemOp::Write,
                                   TrafficClass::FeatureOut);
         }
-        lineTagUse[i] = makeEntry(kInvalidTag, 0);
-        lineMeta[i] = 0;
     }
-    pinnedLines = 0;
+    std::fill(lineTag.begin(), lineTag.end(), kInvalidTag);
+    std::fill(lineStamp.begin(), lineStamp.end(), 0);
+    std::fill(lineMeta.begin(), lineMeta.end(), 0);
+    std::fill(setPinned.begin(), setPinned.end(), 0);
     lastFunctionalAddr = ~Addr{0};
 }
 

@@ -7,14 +7,17 @@
  * The cache exposes both a timing interface (requests flow to the
  * DRAM model through the event queue) and a functional interface
  * (tag-array-only, used by the fast estimation mode). Both share the
- * same tag array logic so hit rates agree by construction.
+ * same tag array logic so hit rates agree by construction: every
+ * lookup goes through one tag-match kernel and every LRU/FIFO
+ * replacement through one victim-pick kernel, which read a set's
+ * separate tag and use-stamp rows (at 16 ways, 64 bytes each,
+ * compared with SSE2 where the platform has it).
  */
 
 #ifndef SGCN_MEM_CACHE_HH
 #define SGCN_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mem/access_plan.hh"
@@ -142,36 +145,41 @@ class Cache
                         MemCallback done);
 
     /**
-     * Functional access: updates the tag array and DRAM traffic
-     * counters only (no events, no latency). Returns true on hit.
-     */
-    bool accessFunctional(const MemRequest &request);
-
-    /**
-     * Functional access of every line in @p plan, in order —
-     * line-for-line equivalent to accessFunctional per line, with
-     * the per-call layering hoisted out of the loop. This is the
-     * fast sweeps' hot entry point.
+     * Functional access of every line in @p plan, in order: one
+     * accessRunFunctional call per run. This is the fast sweeps' hot
+     * entry point.
      */
     void accessPlanFunctional(const AccessPlan &plan, MemOp op,
                               TrafficClass cls);
 
     /**
      * Functional access of @p lines consecutive lines starting at
-     * @p line_addr — one plan run. Under LRU/FIFO with no live pins
-     * (the overwhelmingly common configuration) each line resolves
-     * in a single fused pass that scans for the tag and tracks the
-     * min-stamp victim at once; statistics post per run, not per
-     * line. Bit-identical to accessFunctional per line.
+     * @p line_addr (one plan run), in order: updates the tag array
+     * and the DRAM traffic counters only (no events, no latency), and
+     * posts statistics once per run. Under LRU/FIFO each line
+     * resolves in one fused step, a tag match and, on a miss, a
+     * victim pick that skips the set's pinned ways. Returns the
+     * number of lines that hit.
      */
-    void accessRunFunctional(Addr line_addr, std::uint32_t lines,
-                             MemOp op, TrafficClass cls);
+    std::uint32_t accessRunFunctional(Addr line_addr,
+                                      std::uint32_t lines, MemOp op,
+                                      TrafficClass cls);
+
+    /**
+     * Functional read-modify-write of a run (the column-product
+     * partial-sum update): for each line, a read then a write. The
+     * write always finds the line the read just left resident and
+     * most recently used, so each line costs one write access plus
+     * one extra hit, exactly the counts of the separate pair.
+     */
+    void accessRunRmwFunctional(Addr line_addr, std::uint32_t lines,
+                                TrafficClass cls);
 
     /**
      * Pin the line at @p line_addr: functionally install it, count
      * the fill as @p cls read traffic, and exempt it from eviction.
-     * Used to model EnGN's degree-aware vertex cache. Returns false
-     * if the target set is already fully pinned.
+     * Used to model EnGN's degree-aware vertex cache. Returns false,
+     * pinning nothing, when half the set's ways are already pinned.
      */
     bool pin(Addr line_addr, TrafficClass cls);
 
@@ -183,7 +191,7 @@ class Cache
 
     /**
      * Hint that @p line_addr will be probed shortly: prefetch its
-     * set's tag and use slots. The fast sweeps know the next access
+     * set's tag and stamp rows. The fast sweeps know the next access
      * a few dozen cycles ahead, enough to hide the L2 latency of the
      * tag array's random-set walk. No architectural effect.
      */
@@ -192,8 +200,8 @@ class Cache
     {
         const std::size_t base = static_cast<std::size_t>(
             (line_addr / kCachelineBytes) & setMask) * cfg.ways;
-        __builtin_prefetch(lineTagUse.data() + base);
-        __builtin_prefetch(lineTagUse.data() + base + cfg.ways / 2);
+        __builtin_prefetch(lineTag.data() + base);
+        __builtin_prefetch(lineStamp.data() + base);
     }
 
     /** Cache statistics. */
@@ -217,31 +225,17 @@ class Cache
      *  tags stay far under the sentinel (asserted on install). */
     static constexpr std::uint32_t kInvalidTag = ~0u;
 
-    /** Bits of the per-line metadata byte: dirty/pinned flags plus
-     *  the SRRIP re-reference prediction value (0 = imminent). */
+    /** Bits of the per-line metadata byte: the dirty flag plus the
+     *  SRRIP re-reference prediction value (0 = imminent). */
     static constexpr std::uint8_t kLineDirty = 1;
-    static constexpr std::uint8_t kLinePinned = 2;
     static constexpr unsigned kRrpvShift = 2;
     static constexpr std::uint8_t kRrpvMask = 3 << kRrpvShift;
 
-    /** Tag/stamp packing for the lineTagUse entries. */
-    static std::uint32_t
-    entryTag(std::uint64_t entry)
-    {
-        return static_cast<std::uint32_t>(entry);
-    }
-    static std::uint32_t
-    entryUse(std::uint64_t entry)
-    {
-        return static_cast<std::uint32_t>(entry >> 32);
-    }
-    static std::uint64_t
-    makeEntry(std::uint32_t tag, std::uint32_t use)
-    {
-        return (static_cast<std::uint64_t>(use) << 32) | tag;
-    }
+    /** Widest associativity: each set's pinned ways are one u64. */
+    static constexpr unsigned kMaxWays = 64;
 
     static constexpr std::size_t kNoLine = ~std::size_t{0};
+    static constexpr unsigned kNoWay = ~0u;
 
     /** Overflow storage for deeply-coalesced MSHR targets: fixed
      *  blocks chained off the entry, recycled through a free list so
@@ -271,7 +265,6 @@ class Cache
         Addr addr = 0;
         bool occupied = false;
         bool anyWrite = false;
-        TrafficClass cls = TrafficClass::FeatureIn;
         std::uint8_t inlineUsed = 0;
         MemCallback inlineTargets[kInlineTargets];
         MshrTargetNode *overflowHead = nullptr;
@@ -279,7 +272,21 @@ class Cache
     };
 
     std::uint64_t setIndex(Addr line_addr) const;
-    std::uint64_t tagOf(Addr line_addr) const;
+    /** Tag of @p line_addr, asserted below kInvalidTag. */
+    std::uint32_t tagOf(Addr line_addr) const;
+
+    /**
+     * The set kernels. matchWay returns the lowest way of the set
+     * whose first line sits at flat index @p base that holds @p tag,
+     * or kNoWay. victimWay returns the lowest way outside @p pinned
+     * with the minimum use stamp (invalid lines stamp 0, so it picks
+     * them first), or kNoWay if every way is pinned. At 16 ways on
+     * SSE2 targets each is a few vector ops over one row; other
+     * associativities run the scalar loop.
+     */
+    inline unsigned matchWay(std::size_t base, std::uint32_t tag) const;
+    inline unsigned victimWay(std::size_t base,
+                              std::uint64_t pinned) const;
 
     /** Probe for @p line_addr; updates LRU on hit. Returns the hit
      *  line's flat index, or kNoLine on miss. */
@@ -290,15 +297,22 @@ class Cache
      * dirty (via @p timing DRAM or functional counters), and install
      * the new tag. Returns the installed line's flat index.
      */
-    std::size_t fill(Addr line_addr, bool timing, TrafficClass cls);
+    std::size_t fill(Addr line_addr, bool timing);
 
     /**
      * Evict (accounting for a dirty writeback) and overwrite the
-     * line at flat index @p victim with @p line_addr — fill() minus
-     * the victim scan, shared with the fused functional run path.
+     * line at flat index @p victim with @p line_addr: fill() minus
+     * the victim pick, shared with the fused functional run path.
      */
-    void installAt(std::size_t victim, Addr line_addr, bool timing,
-                   TrafficClass cls);
+    inline void installAt(std::size_t victim, Addr line_addr,
+                          bool timing);
+
+    /** The functional run loop. With @p rmw each line is
+     *  re-referenced after its write, as the write of a separate
+     *  read-then-write pair would (SRRIP's RRPV; a no-op under
+     *  LRU/FIFO); the caller counts the extra hits. */
+    std::uint32_t runFunctional(Addr line_addr, std::uint32_t lines,
+                                bool write, bool rmw, TrafficClass cls);
 
     /** Start servicing a miss: allocate MSHR and fetch from DRAM. */
     void startMiss(const MemRequest &request, MemCallback done);
@@ -328,10 +342,10 @@ class Cache
     /** Admit queued requests into freed MSHRs. */
     void drainPendingQueue();
 
-    /** Pick the replacement victim in the set whose first line sits
-     *  at flat index @p base (no invalid lines in the set). Returns
-     *  kNoLine when every candidate is pinned. */
-    std::size_t selectVictim(std::size_t base);
+    /** Random or SRRIP victim way among the ways outside @p pinned
+     *  of the set whose first line sits at flat index @p base (no
+     *  invalid lines in the set). */
+    unsigned selectVictim(std::size_t base, std::uint64_t pinned);
 
     /** Next LRU/FIFO stamp; renormalizes first when the counter
      *  reaches the configured threshold so stamps stay 32-bit. */
@@ -351,27 +365,28 @@ class Cache
     unsigned setShift = 0;
     std::uint64_t victimSeed = 0x5eed;
     /**
-     * Tag (low 32 bits) and LRU/FIFO use stamp (high 32 bits) of
-     * each line, one flat slot per line at index set * ways + way.
-     * The probe's tag scan and the fill's min-stamp victim scan —
-     * the fast-mode hot paths, hundreds of millions of calls per
-     * sweep — thereby touch the same one or two cachelines per set.
-     * Validity is folded in as kInvalidTag with stamp 0, strictly
-     * below every valid line's stamp (the counter starts at 1 and
-     * renormalization keeps 0 reserved; see
-     * CacheConfig::useStampRenormThreshold).
+     * Tag and LRU/FIFO use stamp of each line, in two arrays with one
+     * slot per line at index set * ways + way. The tag match reads
+     * only a set's tag row, and the victim pick only its stamp row;
+     * at 16 ways each row is 64 bytes. An invalid line holds
+     * kInvalidTag and stamp 0, strictly below every valid line's
+     * stamp (the counter starts at 1 and renormalization keeps 0
+     * reserved; see CacheConfig::useStampRenormThreshold).
      */
-    std::vector<std::uint64_t> lineTagUse;
-    /** Per-line dirty/pinned flags and SRRIP RRPV (see the kLine*
-     *  constants). */
+    std::vector<std::uint32_t> lineTag;
+    std::vector<std::uint32_t> lineStamp;
+    /** Per-line dirty flag and SRRIP RRPV (see the kLine* constants). */
     std::vector<std::uint8_t> lineMeta;
-    /** Lines currently pinned, so the common unpinned case skips
-     *  per-way pinned checks and unpinAll is O(1). */
-    std::uint64_t pinnedLines = 0;
-    /** Duplicate-access memo for accessFunctional: the last line it
-     *  touched is resident and MRU, so an immediate re-access (the
-     *  read-modify-write psum pattern) needs no tag scan. Any fill
-     *  or flush invalidates it. */
+    /** Per-set pinned ways, bit w for way w. Every victim pick skips
+     *  them, and pin() keeps at least half of each set unpinned, so
+     *  every pick has a candidate. A pinned line is thus never
+     *  evicted, and only flush() invalidates lines (clearing every
+     *  mask), so an install never has a bit to clear. */
+    std::vector<std::uint64_t> setPinned;
+    /** Duplicate-access memo of the functional runs: the last line
+     *  they touched is resident and MRU, so an immediate re-access
+     *  (a run starting where the last ended) needs no tag match. Any
+     *  fill, pin or flush invalidates it. */
     Addr lastFunctionalAddr = ~Addr{0};
     std::size_t lastFunctionalIndex = 0;
     /** Open-addressing MSHR table: power-of-two sized at twice the

@@ -85,10 +85,10 @@ TEST_F(TinyFixture, OffChipTrafficSumsEverySource)
         MemRequest{1 << 20, MemOp::Read, TrafficClass::Topology},
         nullptr);
     ec.events.run();
-    ec.cache.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    ec.psumBuffer->accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::PartialSum});
+    ec.cache.accessRunFunctional(0, 1, MemOp::Read,
+                                 TrafficClass::FeatureIn);
+    ec.psumBuffer->accessRunFunctional(0, 1, MemOp::Read,
+                                       TrafficClass::PartialSum);
     ec.fastStreamTraffic.add(MemOp::Read, TrafficClass::Weight, 3);
 
     const TrafficCounters total = ec.offChipTraffic();

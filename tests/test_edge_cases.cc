@@ -12,6 +12,7 @@
 #include "formats/dense.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
+#include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -192,6 +193,20 @@ TEST(EdgeCasesDeath, NonPowerOfTwoDramChannelsPanic)
             Dram dram(config, events);
         },
         "powers of two: 6, 16");
+}
+
+TEST(EdgeCasesDeath, CacheWaysPastThePinMaskPanic)
+{
+    // Each set's pinned ways are one 64-bit mask.
+    EXPECT_DEATH(
+        {
+            CacheConfig config;
+            config.ways = 128;
+            EventQueue events;
+            Dram dram(DramConfig::hbm2(), events);
+            Cache cache(config, dram, events);
+        },
+        "at most 64 ways .* got 128");
 }
 
 TEST(EdgeCasesDeath, SchedulingIntoThePastPanics)

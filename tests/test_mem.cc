@@ -18,6 +18,14 @@ namespace sgcn
 namespace
 {
 
+/** One functional access of @p request's line; true on a hit. */
+bool
+touch(Cache &cache, const MemRequest &request)
+{
+    return cache.accessRunFunctional(request.lineAddr, 1, request.op,
+                                     request.cls) == 1;
+}
+
 struct MemFixture : ::testing::Test
 {
     EventQueue events;
@@ -43,8 +51,8 @@ TEST_F(MemFixture, FunctionalHitAfterMiss)
     Dram dram(dram_config, events);
     Cache cache(cache_config, dram, events);
     MemRequest req{0x1000, MemOp::Read, TrafficClass::FeatureIn};
-    EXPECT_FALSE(cache.accessFunctional(req));
-    EXPECT_TRUE(cache.accessFunctional(req));
+    EXPECT_FALSE(touch(cache, req));
+    EXPECT_TRUE(touch(cache, req));
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -53,7 +61,7 @@ TEST_F(MemFixture, FunctionalMissCountsDramRead)
 {
     Dram dram(dram_config, events);
     Cache cache(cache_config, dram, events);
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{0x2000, MemOp::Read, TrafficClass::Topology});
     EXPECT_EQ(cache.functionalDramTraffic().readLines[static_cast<int>(
                   TrafficClass::Topology)],
@@ -69,17 +77,17 @@ TEST_F(MemFixture, LruEvictionOrder)
 
     // Fill all 4 ways of set 0, then touch way 0 to refresh it.
     for (Addr i = 0; i < 4; ++i) {
-        cache.accessFunctional(MemRequest{i * stride, MemOp::Read,
-                                          TrafficClass::FeatureIn});
+        touch(cache, MemRequest{i * stride, MemOp::Read,
+                                TrafficClass::FeatureIn});
     }
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
     // A fifth line evicts the LRU line (tag 1), not tag 0.
-    cache.accessFunctional(MemRequest{4 * stride, MemOp::Read,
-                                      TrafficClass::FeatureIn});
-    EXPECT_TRUE(cache.accessFunctional(
+    touch(cache, MemRequest{4 * stride, MemOp::Read,
+                            TrafficClass::FeatureIn});
+    EXPECT_TRUE(touch(cache,
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
-    EXPECT_FALSE(cache.accessFunctional(
+    EXPECT_FALSE(touch(cache,
         MemRequest{1 * stride, MemOp::Read, TrafficClass::FeatureIn}));
 }
 
@@ -90,11 +98,11 @@ TEST_F(MemFixture, DirtyEvictionWritesBack)
     const std::uint64_t sets = cache.config().numSets();
     const Addr stride = sets * kCachelineBytes;
 
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{0, MemOp::Write, TrafficClass::FeatureIn});
     for (Addr i = 1; i <= 4; ++i) {
-        cache.accessFunctional(MemRequest{i * stride, MemOp::Read,
-                                          TrafficClass::FeatureIn});
+        touch(cache, MemRequest{i * stride, MemOp::Read,
+                                TrafficClass::FeatureIn});
     }
     EXPECT_EQ(cache.stats().writebacks, 1u);
     EXPECT_GE(cache.functionalDramTraffic()
@@ -106,13 +114,13 @@ TEST_F(MemFixture, FlushWritesDirtyLines)
 {
     Dram dram(dram_config, events);
     Cache cache(cache_config, dram, events);
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{0, MemOp::Write, TrafficClass::PartialSum});
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{64, MemOp::Write, TrafficClass::PartialSum});
     cache.flush();
     EXPECT_EQ(cache.stats().writebacks, 2u);
-    EXPECT_FALSE(cache.accessFunctional(
+    EXPECT_FALSE(touch(cache,
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
 }
 
@@ -126,17 +134,17 @@ TEST_F(MemFixture, PinnedLinesSurvive)
     ASSERT_TRUE(cache.pin(0, TrafficClass::FeatureIn));
     // Storm of conflicting lines.
     for (Addr i = 1; i <= 32; ++i) {
-        cache.accessFunctional(MemRequest{i * stride, MemOp::Read,
-                                          TrafficClass::FeatureIn});
+        touch(cache, MemRequest{i * stride, MemOp::Read,
+                                TrafficClass::FeatureIn});
     }
-    EXPECT_TRUE(cache.accessFunctional(
+    EXPECT_TRUE(touch(cache,
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
     cache.unpinAll();
     for (Addr i = 1; i <= 32; ++i) {
-        cache.accessFunctional(MemRequest{i * stride, MemOp::Read,
-                                          TrafficClass::FeatureIn});
+        touch(cache, MemRequest{i * stride, MemOp::Read,
+                                TrafficClass::FeatureIn});
     }
-    EXPECT_FALSE(cache.accessFunctional(
+    EXPECT_FALSE(touch(cache,
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
 }
 
@@ -156,7 +164,7 @@ TEST_F(MemFixture, TimingHitLatency)
 {
     Dram dram(dram_config, events);
     Cache cache(cache_config, dram, events);
-    cache.accessFunctional(
+    touch(cache,
         MemRequest{0x40, MemOp::Read, TrafficClass::FeatureIn});
 
     Cycle done_at = 0;
@@ -222,7 +230,7 @@ TEST_F(MemFixture, FunctionalAndTimingAgreeOnHitRate)
     Dram dram_a(dram_config, events);
     Cache functional(cache_config, dram_a, events);
     for (Addr line : trace) {
-        functional.accessFunctional(
+        touch(functional,
             MemRequest{line, MemOp::Read, TrafficClass::FeatureIn});
     }
 

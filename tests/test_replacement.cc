@@ -2,10 +2,14 @@
  * @file
  * Replacement-policy tests: behavioural differences between LRU,
  * FIFO, Random, and SRRIP, including the streaming-thrash case
- * SRRIP exists for (the SV-C working-set-overflow scenario).
+ * SRRIP exists for (the SV-C working-set-overflow scenario), and a
+ * differential check of the cache's LRU/FIFO set kernels against a
+ * plain per-set model.
  */
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "mem/cache.hh"
 #include "sim/rng.hh"
@@ -22,20 +26,24 @@ struct PolicyHarness
     CacheConfig config;
     std::unique_ptr<Cache> cache;
 
-    explicit PolicyHarness(ReplacementPolicy policy, unsigned ways = 4,
-                           std::uint64_t size = 16 * 1024)
+    explicit PolicyHarness(
+        ReplacementPolicy policy, unsigned ways = 4,
+        std::uint64_t size = 16 * 1024,
+        std::uint32_t renorm_threshold =
+            CacheConfig{}.useStampRenormThreshold)
     {
         config.sizeBytes = size;
         config.ways = ways;
         config.replacement = policy;
+        config.useStampRenormThreshold = renorm_threshold;
         cache = std::make_unique<Cache>(config, dram, events);
     }
 
     bool
     touch(Addr line)
     {
-        return cache->accessFunctional(
-            MemRequest{line, MemOp::Read, TrafficClass::FeatureIn});
+        return cache->accessRunFunctional(line, 1, MemOp::Read,
+                                          TrafficClass::FeatureIn) == 1;
     }
 
     Addr
@@ -120,9 +128,7 @@ TEST(Replacement, UseStampRenormalizationIsOrderPreserving)
     // with stamp 0 reserved for invalid lines), so hit/miss behaviour
     // — i.e. every LRU victim decision — must be unchanged.
     auto run = [](std::uint32_t threshold) {
-        PolicyHarness h(ReplacementPolicy::Lru);
-        h.config.useStampRenormThreshold = threshold;
-        h.cache = std::make_unique<Cache>(h.config, h.dram, h.events);
+        PolicyHarness h(ReplacementPolicy::Lru, 4, 16 * 1024, threshold);
         Rng rng(23);
         std::uint64_t hits = 0;
         for (int i = 0; i < 4000; ++i) {
@@ -168,6 +174,57 @@ TEST_P(PolicySweep, PinningSurvivesEveryPolicy)
     EXPECT_TRUE(h.touch(0));
 }
 
+TEST_P(PolicySweep, RmwRunMatchesReadThenWritePairs)
+{
+    // One read-modify-write run must leave the cache where a read
+    // then a write per line leaves it, under every policy: SRRIP's
+    // re-reference by the write and Random's victim stream included.
+    // Eight 4-way sets, each contended by ten tags.
+    PolicyHarness rmw(GetParam(), 4, 8 * 4 * kCachelineBytes);
+    PolicyHarness pairs(GetParam(), 4, 8 * 4 * kCachelineBytes);
+    Rng rng(29);
+    for (int op = 0; op < 20000; ++op) {
+        const Addr line = rmw.conflicting(rng.uniformInt(10)) +
+                          rng.uniformInt(8) * kCachelineBytes;
+        const auto lines =
+            static_cast<std::uint32_t>(1 + rng.uniformInt(4));
+        if (rng.bernoulli(0.5)) {
+            rmw.cache->accessRunRmwFunctional(line, lines,
+                                              TrafficClass::PartialSum);
+            for (std::uint32_t i = 0; i < lines; ++i) {
+                const Addr at = line + i * kCachelineBytes;
+                pairs.cache->accessRunFunctional(at, 1, MemOp::Read,
+                                                 TrafficClass::PartialSum);
+                pairs.cache->accessRunFunctional(at, 1, MemOp::Write,
+                                                 TrafficClass::PartialSum);
+            }
+        } else {
+            const MemOp kind =
+                rng.bernoulli(0.3) ? MemOp::Write : MemOp::Read;
+            rmw.cache->accessRunFunctional(line, lines, kind,
+                                           TrafficClass::FeatureIn);
+            pairs.cache->accessRunFunctional(line, lines, kind,
+                                             TrafficClass::FeatureIn);
+        }
+        ASSERT_EQ(rmw.cache->stats().hits, pairs.cache->stats().hits)
+            << "op " << op;
+        ASSERT_EQ(rmw.cache->stats().misses, pairs.cache->stats().misses)
+            << "op " << op;
+    }
+    rmw.cache->flush();
+    pairs.cache->flush();
+    EXPECT_EQ(rmw.cache->stats().evictions,
+              pairs.cache->stats().evictions);
+    EXPECT_EQ(rmw.cache->stats().writebacks,
+              pairs.cache->stats().writebacks);
+    const TrafficCounters &a = rmw.cache->functionalDramTraffic();
+    const TrafficCounters &b = pairs.cache->functionalDramTraffic();
+    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+        EXPECT_EQ(a.readLines[c], b.readLines[c]);
+        EXPECT_EQ(a.writeLines[c], b.writeLines[c]);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweep,
     ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
@@ -175,6 +232,252 @@ INSTANTIATE_TEST_SUITE_P(
                       ReplacementPolicy::Srrip),
     [](const auto &info) {
         return std::string(replacementPolicyName(info.param));
+    });
+
+/**
+ * The reference the set kernels are checked against: a plain per-set
+ * LRU/FIFO cache written from the policies' definitions, with none of
+ * the cache's split arrays, vector kernels, stamp renormalization or
+ * duplicate-access memo. Invalid lines fill first, then the unpinned
+ * way with the oldest stamp (the lowest way on ties); LRU restamps a
+ * line on every hit, FIFO only when it fills. Dirty victims write
+ * back, and so do dirty lines at a flush.
+ */
+class ReferenceCache
+{
+  public:
+    CacheStats stats;
+    TrafficCounters traffic;
+
+    explicit ReferenceCache(const CacheConfig &config)
+        : cfg(config), sets(config.numSets()),
+          lines(config.numSets() * config.ways)
+    {
+    }
+
+    bool
+    access(Addr line, bool write, TrafficClass cls)
+    {
+        if (Line *hit = find(line)) {
+            ++stats.hits;
+            touch(*hit);
+            hit->dirty |= write;
+            return true;
+        }
+        ++stats.misses;
+        traffic.add(MemOp::Read, cls);
+        install(line).dirty = write;
+        return false;
+    }
+
+    /** Cache::pin's contract: at most half of a set pinned; a pin
+     *  is a hit or a fill but counts as neither. */
+    bool
+    pin(Addr line, TrafficClass cls)
+    {
+        Line *set = setOf(line);
+        unsigned pinned = 0;
+        for (unsigned w = 0; w < cfg.ways; ++w)
+            pinned += set[w].pinned ? 1 : 0;
+        if (pinned >= cfg.ways / 2)
+            return false;
+        Line *target = find(line);
+        if (target != nullptr) {
+            touch(*target);
+        } else {
+            traffic.add(MemOp::Read, cls);
+            target = &install(line);
+        }
+        target->pinned = true;
+        return true;
+    }
+
+    void
+    unpinAll()
+    {
+        for (Line &line : lines)
+            line.pinned = false;
+    }
+
+    void
+    flush()
+    {
+        for (Line &line : lines) {
+            if (line.valid && line.dirty)
+                writeBack();
+            line = Line{};
+        }
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        bool pinned = false;
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *
+    setOf(Addr line)
+    {
+        return &lines[line / kCachelineBytes % sets * cfg.ways];
+    }
+
+    Line *
+    find(Addr line)
+    {
+        Line *set = setOf(line);
+        for (unsigned w = 0; w < cfg.ways; ++w) {
+            if (set[w].valid &&
+                set[w].tag == line / kCachelineBytes / sets)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    void
+    touch(Line &line)
+    {
+        if (cfg.replacement == ReplacementPolicy::Lru)
+            line.stamp = ++clock;
+    }
+
+    void
+    writeBack()
+    {
+        ++stats.writebacks;
+        traffic.add(MemOp::Write, TrafficClass::FeatureOut);
+    }
+
+    Line &
+    install(Addr line)
+    {
+        Line *set = setOf(line);
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < cfg.ways && victim == nullptr; ++w) {
+            if (!set[w].valid)
+                victim = &set[w];
+        }
+        if (victim == nullptr) {
+            for (unsigned w = 0; w < cfg.ways; ++w) {
+                if (!set[w].pinned &&
+                    (victim == nullptr || set[w].stamp < victim->stamp))
+                    victim = &set[w];
+            }
+        }
+        if (victim->valid) {
+            ++stats.evictions;
+            if (victim->dirty)
+                writeBack();
+        }
+        *victim = Line{true, false, false,
+                       line / kCachelineBytes / sets, ++clock};
+        return *victim;
+    }
+
+    CacheConfig cfg;
+    std::uint64_t sets;
+    std::vector<Line> lines;
+    std::uint64_t clock = 0;
+};
+
+class SetKernelDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<ReplacementPolicy, unsigned, std::uint32_t>>
+{
+};
+
+TEST_P(SetKernelDifferential, MatchesThePlainReference)
+{
+    const auto [policy, ways, renorm_threshold] = GetParam();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(seed);
+        // Eight sets, each contended by 2 * ways + 2 tags.
+        PolicyHarness h(policy, ways, 8 * ways * kCachelineBytes,
+                        renorm_threshold);
+        Cache &cache = *h.cache;
+        ReferenceCache ref(h.config);
+        Rng rng(seed);
+        Addr last = 0;
+        for (int op = 0; op < 20000; ++op) {
+            const std::uint64_t kind = rng.uniformInt(100);
+            // A tenth of the operations start at the last line
+            // accessed: the duplicate-access memo's case.
+            const Addr line =
+                rng.bernoulli(0.1)
+                    ? last
+                    : h.conflicting(rng.uniformInt(2 * ways + 2)) +
+                          rng.uniformInt(8) * kCachelineBytes;
+            if (kind < 70) {
+                // Single-line reads and writes, then runs of 2-7
+                // lines, a third of them writes.
+                const bool single = kind < 50;
+                const bool write = single ? kind >= 40 : rng.bernoulli(0.3);
+                const auto lines = static_cast<std::uint32_t>(
+                    single ? 1 : 2 + rng.uniformInt(6));
+                std::uint32_t hits = 0;
+                for (std::uint32_t i = 0; i < lines; ++i) {
+                    hits += ref.access(line + i * kCachelineBytes, write,
+                                       TrafficClass::FeatureIn);
+                }
+                ASSERT_EQ(cache.accessRunFunctional(
+                              line, lines,
+                              write ? MemOp::Write : MemOp::Read,
+                              TrafficClass::FeatureIn),
+                          hits)
+                    << "op " << op;
+                last = line + (lines - 1) * kCachelineBytes;
+            } else if (kind < 80) {
+                const auto lines =
+                    static_cast<std::uint32_t>(1 + rng.uniformInt(4));
+                const std::uint64_t before = cache.stats().hits;
+                std::uint64_t hits = 0;
+                for (std::uint32_t i = 0; i < lines; ++i) {
+                    const Addr at = line + i * kCachelineBytes;
+                    hits += ref.access(at, false, TrafficClass::PartialSum);
+                    hits += ref.access(at, true, TrafficClass::PartialSum);
+                }
+                cache.accessRunRmwFunctional(line, lines,
+                                             TrafficClass::PartialSum);
+                ASSERT_EQ(cache.stats().hits - before, hits) << "op " << op;
+                last = line + (lines - 1) * kCachelineBytes;
+            } else if (kind < 94) {
+                ASSERT_EQ(cache.pin(line, TrafficClass::FeatureIn),
+                          ref.pin(line, TrafficClass::FeatureIn))
+                    << "op " << op;
+            } else if (kind < 98) {
+                cache.unpinAll();
+                ref.unpinAll();
+            } else {
+                cache.flush();
+                ref.flush();
+            }
+        }
+        EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+        EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+        EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+        EXPECT_EQ(cache.stats().writebacks, ref.stats.writebacks);
+        const TrafficCounters &traffic = cache.functionalDramTraffic();
+        for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+            EXPECT_EQ(traffic.readLines[c], ref.traffic.readLines[c]);
+            EXPECT_EQ(traffic.writeLines[c], ref.traffic.writeLines[c]);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LruFifo, SetKernelDifferential,
+    ::testing::Combine(
+        ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo),
+        ::testing::Values(2u, 4u, 16u),
+        ::testing::Values(16u, CacheConfig{}.useStampRenormThreshold)),
+    [](const auto &info) {
+        return std::string(replacementPolicyName(std::get<0>(info.param))) +
+               "_" + std::to_string(std::get<1>(info.param)) +
+               "way_renorm" +
+               (std::get<2>(info.param) == 16 ? "16" : "Default");
     });
 
 } // namespace
