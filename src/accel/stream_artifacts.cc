@@ -35,15 +35,10 @@ StreamArtifactCache::maskFor(const MaskKey &key)
             const auto kind = static_cast<MaskKind>(std::get<0>(key));
             const std::uint32_t rows = std::get<1>(key);
             const std::uint32_t cols = std::get<2>(key);
-            const double sparsity =
-                std::bit_cast<double>(std::get<3>(key));
             const std::uint64_t seed = std::get<4>(key);
             switch (kind) {
-              case MaskKind::Random: {
-                Rng rng(seed);
-                return std::make_shared<const FeatureMask>(
-                    FeatureMask::random(rows, cols, sparsity, rng));
-              }
+              case MaskKind::Random:
+                return streamMask(rows, cols, std::get<3>(key), seed);
               case MaskKind::OneHot: {
                 Rng rng(seed);
                 return std::make_shared<const FeatureMask>(
@@ -57,6 +52,35 @@ StreamArtifactCache::maskFor(const MaskKey &key)
         },
         [](const FeatureMask &m) { return m.footprintBytes(); });
     return MaskHandle{std::move(mask), key};
+}
+
+std::shared_ptr<const FeatureMask>
+StreamArtifactCache::streamMask(std::uint32_t rows, std::uint32_t cols,
+                                std::uint64_t sparsity_bits,
+                                std::uint64_t seed)
+{
+    std::shared_ptr<MaskStream> stream;
+    {
+        std::lock_guard<std::mutex> lock(streamsMutex);
+        auto &slot = streams[StreamKey{cols, sparsity_bits, seed}];
+        if (!slot)
+            slot = std::make_shared<MaskStream>(cols, seed);
+        stream = slot;
+    }
+    // One lock per stream: requests for different row counts of one
+    // stream take turns, so each row is drawn once and the saved Rng
+    // state always sits after the stream mask's last row.
+    std::lock_guard<std::mutex> lock(stream->mutex);
+    const std::uint32_t drawn = stream->mask->rows();
+    if (rows == drawn)
+        return stream->mask;
+    auto mask = std::make_shared<const FeatureMask>(
+        FeatureMask::resumeRandom(*stream->mask, rows,
+                                  std::bit_cast<double>(sparsity_bits),
+                                  stream->rng));
+    if (rows > drawn)
+        stream->mask = mask;
+    return mask;
 }
 
 StreamArtifactCache::MaskHandle
@@ -319,6 +343,8 @@ StreamArtifactCache::clear()
     partitions.clear();
     masks.clear();
     graphs.clear();
+    std::lock_guard<std::mutex> lock(streamsMutex);
+    streams.clear();
 }
 
 } // namespace sgcn

@@ -26,7 +26,9 @@
 #define SGCN_ACCEL_STREAM_ARTIFACTS_HH
 
 #include <bit>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <tuple>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "graph/csr_graph.hh"
 #include "graph/partition.hh"
 #include "sim/keyed_cache.hh"
+#include "sim/rng.hh"
 
 namespace sgcn
 {
@@ -92,7 +95,17 @@ class StreamArtifactCache
      */
     std::shared_ptr<const CsrGraph> canonicalGraph(const CsrGraph &graph);
 
-    /** FeatureMask::random(rows, cols, sparsity, Rng(seed)). */
+    /**
+     * FeatureMask::random(rows, cols, sparsity, Rng(seed)). A miss
+     * reads the (cols, sparsity, seed) mask stream: random() draws
+     * row-major, so an n-row mask is the first n rows of every
+     * longer one. The stream keeps the longest mask drawn so far and
+     * the Rng state after its last row; a miss at its row count gets
+     * that mask itself, a shorter one a copy of its first rows, and a
+     * longer one draws only the rows past it (and becomes the
+     * stream's mask). A serve trace, whose batches each need a new
+     * row count, so draws each mask row once.
+     */
     MaskHandle randomMask(std::uint32_t rows, std::uint32_t cols,
                           double sparsity, std::uint64_t seed);
 
@@ -169,11 +182,29 @@ class StreamArtifactCache
     /** Byte-accounted host footprint of all resident artifacts. */
     std::uint64_t footprintBytes() const { return stats().bytes; }
 
-    /** Drop every artifact and reset the counters. Outstanding
-     *  handles stay valid (shared_ptr); later lookups recompute. */
+    /** Drop every artifact and mask stream and reset the counters.
+     *  Outstanding handles stay valid (shared_ptr); later lookups
+     *  recompute. */
     void clear();
 
   private:
+    /** The longest random mask of one (cols, sparsity, seed) drawn so
+     *  far, and the Rng state after its last row (see randomMask()).
+     *  The mask is the one the mask cache holds under its own row
+     *  count, so it is accounted there. */
+    struct MaskStream
+    {
+        MaskStream(std::uint32_t cols, std::uint64_t seed)
+            : mask(std::make_shared<const FeatureMask>(0, cols)),
+              rng(seed)
+        {
+        }
+
+        std::mutex mutex;
+        std::shared_ptr<const FeatureMask> mask;
+        Rng rng;
+    };
+
     /** A layout plus the mask its boundMask pointer refers to. */
     struct PreparedLayout
     {
@@ -205,8 +236,19 @@ class StreamArtifactCache
                                std::uint64_t>;
     using PartitionKey = std::tuple<std::uint64_t, std::uint64_t,
                                     unsigned, std::uint8_t>;
+    /** (cols, sparsity bits, seed). */
+    using StreamKey =
+        std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>;
 
     MaskHandle maskFor(const MaskKey &key);
+
+    /** The @p rows-row mask of the (cols, sparsity, seed) stream. */
+    std::shared_ptr<const FeatureMask>
+    streamMask(std::uint32_t rows, std::uint32_t cols,
+               std::uint64_t sparsity_bits, std::uint64_t seed);
+
+    std::mutex streamsMutex;
+    std::map<StreamKey, std::shared_ptr<MaskStream>> streams;
 
     KeyedCache<GraphKey, CsrGraph> graphs;
     KeyedCache<MaskKey, FeatureMask> masks;

@@ -110,8 +110,29 @@ FeatureMask
 FeatureMask::random(std::uint32_t rows, std::uint32_t cols,
                     double sparsity, Rng &rng)
 {
-    SGCN_ASSERT(sparsity >= 0.0 && sparsity <= 1.0);
     FeatureMask mask(rows, cols);
+    mask.drawRandomRows(0, sparsity, rng);
+    return mask;
+}
+
+FeatureMask
+FeatureMask::resumeRandom(const FeatureMask &drawn, std::uint32_t rows,
+                          double sparsity, Rng &rng)
+{
+    FeatureMask mask(rows, drawn.numCols);
+    const std::uint32_t kept = std::min(rows, drawn.numRows);
+    std::copy_n(drawn.words.data(),
+                static_cast<std::size_t>(kept) * drawn.wordsPerRow,
+                mask.words.data());
+    mask.drawRandomRows(kept, sparsity, rng);
+    return mask;
+}
+
+void
+FeatureMask::drawRandomRows(std::uint32_t first_row, double sparsity,
+                            Rng &rng)
+{
+    SGCN_ASSERT(sparsity >= 0.0 && sparsity <= 1.0);
     const double density = 1.0 - sparsity;
     // Integer form of the per-element draw: uniform() is
     // (next() >> 11) * 2^-53 with both the scaling and the compare
@@ -122,13 +143,12 @@ FeatureMask::random(std::uint32_t rows, std::uint32_t cols,
     // the draw order (row-major, one draw per element) unchanged.
     const auto threshold = static_cast<std::uint64_t>(
         std::ceil(density * 0x1.0p53));
-    for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::uint32_t r = first_row; r < numRows; ++r) {
         std::uint64_t *row_words =
-            mask.words.data() +
-            static_cast<std::size_t>(r) * mask.wordsPerRow;
-        for (std::uint32_t w = 0; w < mask.wordsPerRow; ++w) {
+            words.data() + static_cast<std::size_t>(r) * wordsPerRow;
+        for (std::uint32_t w = 0; w < wordsPerRow; ++w) {
             const std::uint32_t begin = w * 64;
-            const std::uint32_t bits = std::min(cols - begin, 64u);
+            const std::uint32_t bits = std::min(numCols - begin, 64u);
             std::uint64_t word = 0;
             for (std::uint32_t b = 0; b < bits; ++b) {
                 word |= static_cast<std::uint64_t>(
@@ -138,7 +158,6 @@ FeatureMask::random(std::uint32_t rows, std::uint32_t cols,
             row_words[w] = word;
         }
     }
-    return mask;
 }
 
 FeatureMask

@@ -112,6 +112,19 @@ class FeatureMask
     static FeatureMask random(std::uint32_t rows, std::uint32_t cols,
                               double sparsity, Rng &rng);
 
+    /**
+     * The @p rows-row mask of the random() stream that produced
+     * @p drawn: rows @p drawn holds are copied, and the rows past
+     * them are drawn from @p rng, which must be in the state random()
+     * left it in after @p drawn's last row (a shorter @p rows copies
+     * a prefix and draws nothing). random() draws row-major, one draw
+     * per element, so the result equals random(rows, drawn.cols(),
+     * sparsity, Rng(seed)) bit for bit.
+     */
+    static FeatureMask resumeRandom(const FeatureMask &drawn,
+                                    std::uint32_t rows, double sparsity,
+                                    Rng &rng);
+
     /** One non-zero per row at a random column (NELL's one-hot X1). */
     static FeatureMask oneHot(std::uint32_t rows, std::uint32_t cols,
                               Rng &rng);
@@ -140,6 +153,10 @@ class FeatureMask
     }
 
   private:
+    /** Draw rows [@p first_row, rows()) of a random() mask. */
+    void drawRandomRows(std::uint32_t first_row, double sparsity,
+                        Rng &rng);
+
     std::uint32_t numRows = 0;
     std::uint32_t numCols = 0;
     std::uint32_t wordsPerRow = 0;

@@ -42,7 +42,7 @@ citeseer(double scale = kDefaultScale)
     return instantiateDataset(datasetByAbbrev("CS"), scale);
 }
 
-/** The test dataset for @p abbrev ("CR" or "CS"). */
+/** The test dataset for the Table II abbreviation @p abbrev. */
 inline Dataset
 datasetFixture(const char *abbrev, double scale = kDefaultScale)
 {

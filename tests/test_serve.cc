@@ -207,35 +207,43 @@ TEST(EgoSampler, SampleIsIndependentOfBatchMembership)
 
 TEST(EgoSampler, BatchSubgraphPreservesParentWeights)
 {
-    const Dataset dataset = testfx::cora();
-    EgoSampleParams params;
-    params.fanout = 6;
-    const BatchSubgraph sub =
-        sampleBatchSubgraph(dataset.graph, 0, 4, params);
-    ASSERT_GT(sub.graph.numVertices(), 0u);
-    ASSERT_EQ(sub.vertices.size(), sub.graph.numVertices());
-    EXPECT_TRUE(std::is_sorted(sub.vertices.begin(),
-                               sub.vertices.end()));
-    ASSERT_EQ(sub.roots.size(), 4u);
+    // Cora's rows are short; RD at scale 0.05 (819 vertices, max
+    // degree 786) makes the sampler's weight lookup cross long
+    // parent rows.
+    const std::pair<const char *, double> fixtures[] = {
+        {"CR", testfx::kDefaultScale}, {"RD", 0.05}};
+    for (const auto &[abbrev, scale] : fixtures) {
+        SCOPED_TRACE(abbrev);
+        const Dataset dataset = testfx::datasetFixture(abbrev, scale);
+        EgoSampleParams params;
+        params.fanout = 6;
+        const BatchSubgraph sub =
+            sampleBatchSubgraph(dataset.graph, 0, 4, params);
+        ASSERT_GT(sub.graph.numVertices(), 0u);
+        ASSERT_EQ(sub.vertices.size(), sub.graph.numVertices());
+        EXPECT_TRUE(std::is_sorted(sub.vertices.begin(),
+                                   sub.vertices.end()));
+        ASSERT_EQ(sub.roots.size(), 4u);
 
-    // Every subgraph edge carries the parent row's weight verbatim
-    // (the chip-shard contract: normalized weights cannot be
-    // recomputed from the subgraph).
-    for (VertexId row = 0; row < sub.graph.numVertices(); ++row) {
-        const VertexId parent = sub.vertices[row];
-        const auto nbrs = sub.graph.neighbors(row);
-        const auto wts = sub.graph.weights(row);
-        const auto parent_nbrs = dataset.graph.neighbors(parent);
-        const auto parent_wts = dataset.graph.weights(parent);
-        for (std::size_t e = 0; e < nbrs.size(); ++e) {
-            const VertexId target = sub.vertices[nbrs[e]];
-            const auto it = std::lower_bound(parent_nbrs.begin(),
-                                             parent_nbrs.end(),
-                                             target);
-            ASSERT_TRUE(it != parent_nbrs.end() && *it == target);
-            EXPECT_EQ(wts[e],
-                      parent_wts[static_cast<std::size_t>(
-                          it - parent_nbrs.begin())]);
+        // Every subgraph edge carries the parent row's weight
+        // verbatim (the chip-shard contract: normalized weights
+        // cannot be recomputed from the subgraph).
+        for (VertexId row = 0; row < sub.graph.numVertices(); ++row) {
+            const VertexId parent = sub.vertices[row];
+            const auto nbrs = sub.graph.neighbors(row);
+            const auto wts = sub.graph.weights(row);
+            const auto parent_nbrs = dataset.graph.neighbors(parent);
+            const auto parent_wts = dataset.graph.weights(parent);
+            for (std::size_t e = 0; e < nbrs.size(); ++e) {
+                const VertexId target = sub.vertices[nbrs[e]];
+                const auto it = std::lower_bound(parent_nbrs.begin(),
+                                                 parent_nbrs.end(),
+                                                 target);
+                ASSERT_TRUE(it != parent_nbrs.end() && *it == target);
+                EXPECT_EQ(wts[e],
+                          parent_wts[static_cast<std::size_t>(
+                              it - parent_nbrs.begin())]);
+            }
         }
     }
 }

@@ -3,13 +3,16 @@
  * Tests for the sweep-level stream-artifact cache
  * (accel/stream_artifacts.hh, the PR 6 tentpole): warm runs must be
  * bit-identical to cold runs for every personality, artifacts must
- * compute once under the runAll jobs>1 fan-out, and keys must
- * separate every input that changes an artifact. Runs under the TSan
- * CI job (labelled `thread` in CMakeLists).
+ * compute once under the runAll jobs>1 fan-out, keys must separate
+ * every input that changes an artifact, and a random mask served
+ * from its row-prefix stream must equal a fresh draw at every row
+ * count. Runs under the TSan CI job (labelled `thread` in
+ * CMakeLists).
  */
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -32,6 +35,33 @@ testGraph(std::uint64_t seed, VertexId vertices = 400)
     params.avgDegree = 6.0;
     params.seed = seed;
     return clusteredGraph(params);
+}
+
+/** Whether @p mask is FeatureMask::random(rows, cols, sparsity,
+ *  Rng(seed)), element for element. */
+::testing::AssertionResult
+isFreshDraw(const FeatureMask &mask, std::uint32_t rows,
+            std::uint32_t cols, double sparsity, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const FeatureMask fresh =
+        FeatureMask::random(rows, cols, sparsity, rng);
+    if (mask.rows() != rows || mask.cols() != cols) {
+        return ::testing::AssertionFailure()
+               << mask.rows() << "x" << mask.cols() << " mask, want "
+               << rows << "x" << cols;
+    }
+    for (std::uint32_t r = 0; r < rows; ++r) {
+        for (std::uint32_t c = 0; c < cols; ++c) {
+            if (mask.test(r, c) != fresh.test(r, c)) {
+                return ::testing::AssertionFailure()
+                       << "element (" << r << ", " << c
+                       << ") differs from a fresh " << rows << "x"
+                       << cols << " draw of seed " << seed;
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 /** The totals that define bit-identity between two runs. */
@@ -151,6 +181,98 @@ TEST(StreamArtifacts, ConcurrentMaskLookupsComputeOnce)
         EXPECT_EQ(results[t].mask.get(), results[0].mask.get());
     EXPECT_EQ(artifacts.stats().misses, 1u);
     EXPECT_EQ(artifacts.stats().hits, kThreads - 1);
+}
+
+TEST(StreamArtifacts, MaskStreamRowCountsMatchFreshDraws)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    // 602 columns leave a partial last word (9 full words + 26 bits).
+    for (const std::uint32_t cols : {64u, 602u}) {
+        clearSweepArtifacts();
+        // Longer, shorter, longer, equal (a mask-cache hit), then one
+        // row: the stream grows twice and copies prefixes twice.
+        const std::uint32_t requests[] = {300, 100, 700, 700, 1};
+        std::vector<StreamArtifactCache::MaskHandle> handles;
+        for (const std::uint32_t rows : requests) {
+            handles.push_back(artifacts.randomMask(rows, cols, 0.7, 21));
+            EXPECT_TRUE(isFreshDraw(*handles.back(), rows, cols, 0.7, 21))
+                << "after a request for " << rows << " rows";
+        }
+        EXPECT_EQ(handles[3].mask.get(), handles[2].mask.get());
+        // The stream sits behind the mask cache's compute-once: its
+        // copies and extensions are misses of their own keys, and
+        // its counters are the mask cache's.
+        EXPECT_EQ(artifacts.stats().misses, 4u);
+        EXPECT_EQ(artifacts.stats().hits, 1u);
+    }
+}
+
+TEST(StreamArtifacts, MaskStreamsNeverShareRows)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    clearSweepArtifacts();
+
+    // Each variant differs from the base stream in one of cols,
+    // sparsity and seed, and asks for rows past the base stream's
+    // (which a shared stream would extend) and within it (which a
+    // shared stream would copy).
+    struct Params
+    {
+        std::uint32_t cols;
+        double sparsity;
+        std::uint64_t seed;
+    };
+    const Params base{64, 0.7, 21};
+    const Params variants[] = {
+        {65, 0.7, 21}, {64, 0.71, 21}, {64, 0.7, 22}};
+    const auto base_mask =
+        artifacts.randomMask(300, base.cols, base.sparsity, base.seed);
+    EXPECT_TRUE(
+        isFreshDraw(*base_mask, 300, base.cols, base.sparsity, base.seed));
+    for (const Params &p : variants) {
+        for (const std::uint32_t rows : {500u, 100u}) {
+            const auto mask =
+                artifacts.randomMask(rows, p.cols, p.sparsity, p.seed);
+            EXPECT_TRUE(
+                isFreshDraw(*mask, rows, p.cols, p.sparsity, p.seed))
+                << p.cols << " cols, sparsity " << p.sparsity
+                << ", seed " << p.seed << ", " << rows << " rows";
+            EXPECT_NE(mask.mask.get(), base_mask.mask.get());
+        }
+    }
+    // The variants left the base stream where it was.
+    EXPECT_TRUE(isFreshDraw(
+        *artifacts.randomMask(600, base.cols, base.sparsity, base.seed),
+        600, base.cols, base.sparsity, base.seed));
+}
+
+TEST(StreamArtifacts, ConcurrentMaskStreamRequestsMatchFreshDraws)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    clearSweepArtifacts();
+
+    // Eight row counts of one stream requested at once: whichever
+    // order the threads reach the stream in, each grows it or copies
+    // a prefix of it, and every result is its own fresh draw.
+    constexpr unsigned kThreads = 8;
+    std::vector<StreamArtifactCache::MaskHandle> results(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            results[t] = artifacts.randomMask(100 * (t + 1), 602, 0.85, 99);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(isFreshDraw(*results[t], 100 * (t + 1), 602, 0.85, 99))
+            << "thread " << t;
+    }
+    EXPECT_EQ(artifacts.stats().misses, kThreads);
 }
 
 TEST(StreamArtifacts, KeySeparation)
