@@ -25,8 +25,8 @@ enum class ExecutionMode
 {
     /** Event-driven cycle-level simulation (cache + DRAM timing). */
     Timing,
-    /** Functional cache simulation + roofline cycle estimate; the
-     *  same access streams, orders of magnitude faster. */
+    /** Functional cache simulation + roofline cycle estimate over
+     *  the same per-tile programs; orders of magnitude faster. */
     Fast,
 };
 

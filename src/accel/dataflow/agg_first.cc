@@ -11,62 +11,46 @@ namespace sgcn
 namespace
 {
 
-void
-runFast(EngineContext &ec, LayerResult &result)
+/** Combination of destination tile @p t: (rows x inWidth) .
+ *  (inWidth x outWidth) on the systolic arrays over its owned rows.
+ *  Halo tail rows are empty sources: they sweep for free and produce
+ *  no output. Residual init + ReLU + compression are fused at the
+ *  output (SV-E/SV-F), so the only extra traffic is the tile's
+ *  output pass. */
+Cycle
+combineTile(EngineContext &ec, const TiledGraphView &view, unsigned t)
 {
-    const VertexId n = ec.layer.graph->numVertices();
-    const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
+    const VertexId begin = view.dstTileBegin(t);
+    const VertexId end = std::min(view.dstTileEnd(t), ec.ownedEnd());
+    return ec.combineRows(end > begin ? end - begin : 0,
+                          ec.cfg.zeroSkipCombination);
+}
 
-    const VertexId src_span =
-        ec.cfg.topologyTiling ? ec.pickSrcSpan(in) : n;
-    const VertexId dst_span = ec.pickDstSpan(in, ec.layer.inWidth);
-    const auto view = ec.tiledView(dst_span, src_span);
-
-    // EnGN's degree-aware vertex cache pins hot feature rows for the
-    // whole layer (dense layout only).
-    if (ec.cfg.davc && in.kind() == FormatKind::Dense)
-        ec.pinDavc(AddressMap::kFeatureInBase, ec.layer.inWidth);
-
+void
+runFast(EngineContext &ec, const TiledGraphView &view,
+        LayerResult &result)
+{
+    StreamLineCounter stream{ec.fastStreamTraffic};
     std::vector<EngineContext::TilePhase> tiles;
-    tiles.reserve(view->numDstTiles());
+    tiles.reserve(view.numDstTiles());
 
-    for (unsigned t = 0; t < view->numDstTiles(); ++t) {
-        const VertexId tile_begin = view->dstTileBegin(t);
-        // Halo tail rows are empty sources: they sweep for free and
-        // produce no output, so combination covers owned rows only.
-        const VertexId tile_end =
-            std::min(view->dstTileEnd(t), ec.ownedEnd());
-        const VertexId rows =
-            tile_end > tile_begin ? tile_end - tile_begin : 0;
-
+    for (unsigned t = 0; t < view.numDstTiles(); ++t) {
         EngineContext::TilePhase phase;
         const EngineContext::Snapshot agg_before = ec.snapshot();
-        const Cycle compute =
-            sweepTileFast(ec, *view, t, in, TrafficClass::FeatureIn);
+        const Cycle compute = sweepTileFast(
+            ec, view, t, *ec.layer.inLayout, TrafficClass::FeatureIn);
         phase.aggTime = ec.phaseCycles(compute, agg_before);
 
-        // Combination: (rows x inWidth) . (inWidth x outWidth) on the
-        // systolic arrays; residual init + ReLU + compression are
-        // fused at the output (SV-E/SV-F), so the only extra traffic
-        // is the S^l / S^{l+1} stream and the compressed X^{l+1}.
         const EngineContext::Snapshot comb_before = ec.snapshot();
-        const GemmCost gemm = ec.systolic.gemm(
-            rows, ec.layer.inWidth, ec.layer.outWidth,
-            ec.cfg.zeroSkipCombination ? ec.layer.inSparsity : 0.0);
-        ec.combMacs += gemm.macs;
-
-        const std::uint64_t serialized_write_lines =
-            streamTileOutputFast(ec, tile_begin, tile_end, out);
-        phase.combTime = ec.phaseCycles(
-            gemm.cycles / ec.cfg.combEngines, comb_before);
-        phase.combTime +=
-            serialized_write_lines * ec.cfg.dram.burstCycles;
+        const Cycle comb_cycles = combineTile(ec, view, t);
+        const std::uint64_t serialized_write_lines = tileOutputPass(
+            ec, stream, view.dstTileBegin(t), view.dstTileEnd(t));
+        phase.combTime = ec.phaseCycles(comb_cycles, comb_before) +
+                         serialized_write_lines * ec.cfg.dram.burstCycles;
         tiles.push_back(phase);
         result.aggCycles += phase.aggTime;
         result.combCycles += phase.combTime;
     }
-    ec.cache.unpinAll();
     result.cycles = EngineContext::pipelineTiles(tiles);
 
     // Phase timeline under the tile pipeline: aggregation streams
@@ -103,19 +87,11 @@ runFast(EngineContext &ec, LayerResult &result)
 }
 
 void
-runTiming(EngineContext &ec, LayerResult &result)
+runTiming(EngineContext &ec, const TiledGraphView &view,
+          LayerResult &result)
 {
-    const VertexId n = ec.layer.graph->numVertices();
-    const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
-
-    const VertexId src_span =
-        ec.cfg.topologyTiling ? ec.pickSrcSpan(in) : n;
-    const VertexId dst_span = ec.pickDstSpan(in, ec.layer.inWidth);
-    const auto view = ec.tiledView(dst_span, src_span);
-
     auto ctl = std::make_shared<TileControl>();
-    ctl->numTiles = view->numDstTiles();
+    ctl->numTiles = view.numDstTiles();
     ctl->combDone.assign(ctl->numTiles, 0);
     ctl->tileTraces.resize(ctl->numTiles);
 
@@ -129,23 +105,13 @@ runTiming(EngineContext &ec, LayerResult &result)
             ctl->aggTrace.markStart(agg_start);
             ctl->tileTraces.markConsumeStart(t, agg_start);
             ctl->agg = std::make_shared<TimingAgg>(
-                ec, *view, t, in, TrafficClass::FeatureIn);
-            ctl->agg->start([&, ctl, view, t, agg_start] {
+                ec, view, t, *ec.layer.inLayout,
+                TrafficClass::FeatureIn);
+            ctl->agg->start([&, ctl, t, agg_start] {
                 result.aggCycles += ec.events.now() - agg_start;
                 ctl->aggTrace.markEnd(ec.events.now());
                 ctl->tileTraces.markConsumeEnd(t, ec.events.now());
-                const VertexId tile_begin = view->dstTileBegin(t);
-                const VertexId tile_end =
-                    std::min(view->dstTileEnd(t), ec.ownedEnd());
-                const VertexId rows =
-                    tile_end > tile_begin ? tile_end - tile_begin : 0;
-                const GemmCost gemm = ec.systolic.gemm(
-                    rows, ec.layer.inWidth, ec.layer.outWidth,
-                    ec.cfg.zeroSkipCombination ? ec.layer.inSparsity
-                                               : 0.0);
-                ec.combMacs += gemm.macs;
-                const Cycle comb_cycles =
-                    gemm.cycles / ec.cfg.combEngines;
+                const Cycle comb_cycles = combineTile(ec, view, t);
                 const Cycle comb_start =
                     std::max(ec.events.now(), ctl->combFreeAt);
                 ctl->combFreeAt = comb_start + comb_cycles;
@@ -154,12 +120,11 @@ runTiming(EngineContext &ec, LayerResult &result)
                 ctl->combTrace.markStart(comb_start);
                 ctl->combTrace.markEnd(ctl->combFreeAt);
 
-                ec.events.schedule(ctl->combFreeAt,
-                                   [&, ctl, t, tile_begin, tile_end] {
+                ec.events.schedule(ctl->combFreeAt, [&, ctl, t] {
                     ctl->drainTrace.markStart(ec.events.now());
                     auto dma = std::make_shared<StreamDma>(ec, 128);
-                    queueTileOutputDma(ec, *dma, tile_begin, tile_end,
-                                       out);
+                    tileOutputPass(ec, *dma, view.dstTileBegin(t),
+                                   view.dstTileEnd(t));
                     dma->start([&, ctl, t] {
                         ctl->drainTrace.markEnd(ec.events.now());
                         ctl->tileTraces.markReady(t, ec.events.now());
@@ -200,10 +165,21 @@ runTiming(EngineContext &ec, LayerResult &result)
 void
 runAggFirst(EngineContext &ec, LayerResult &result)
 {
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
+    const auto view =
+        ec.sweepView(*ec.layer.inLayout, ec.layer.inWidth);
+    if (ec.mode == ExecutionMode::Fast) {
+        // EnGN's degree-aware vertex cache pins hot feature rows for
+        // the whole layer (dense layout only). Fast mode only: the
+        // timing engines have never pinned them, so timing-mode EnGN
+        // runs HyGCN's intermediate layers (ROADMAP item 3), and
+        // pinning there changes model output.
+        if (ec.cfg.davc && ec.layer.inLayout->kind() == FormatKind::Dense)
+            ec.pinDavc(AddressMap::kFeatureInBase, ec.layer.inWidth);
+        runFast(ec, *view, result);
+        ec.cache.unpinAll();
+    } else {
+        runTiming(ec, *view, result);
+    }
 }
 
 } // namespace sgcn

@@ -44,10 +44,7 @@ synthesizeColumnProductSpans(LayerSchedule &schedule, unsigned strips)
 void
 runFast(EngineContext &ec, LayerResult &result)
 {
-    const CsrGraph &graph = *ec.layer.graph;
-    const VertexId n = graph.numVertices();
-    const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
+    const VertexId n = ec.layer.graph->numVertices();
 
     // Combination: input feature rows stream in source order with
     // zero-skipping in the datapath (AWB-GCN); one X pass per
@@ -55,18 +52,13 @@ runFast(EngineContext &ec, LayerResult &result)
     // The row reads only feed the stream-traffic counters, so the
     // per-strip row loops collapse to strips x the memoized total.
     const std::uint32_t strip_width = ec.psumStripWidth();
-    const unsigned strips = static_cast<unsigned>(
-        divCeil(ec.layer.outWidth, strip_width));
+    const unsigned strips = ec.psumStrips();
     const EngineContext::Snapshot comb_before = ec.snapshot();
     ec.fastStreamTraffic.add(MemOp::Read, TrafficClass::FeatureIn,
                              static_cast<std::uint64_t>(strips) *
-                                 in.totalRowReadLines());
-    const GemmCost gemm = ec.systolic.gemm(
-        n, ec.layer.inWidth, ec.layer.outWidth,
-        ec.cfg.zeroSkipCombination ? ec.layer.inSparsity : 0.0);
-    ec.combMacs += gemm.macs;
-    const Cycle comb_time =
-        ec.phaseCycles(gemm.cycles / ec.cfg.combEngines, comb_before);
+                                 ec.layer.inLayout->totalRowReadLines());
+    const Cycle comb_time = ec.phaseCycles(
+        ec.combineRows(n, ec.cfg.zeroSkipCombination), comb_before);
     result.combCycles += comb_time;
 
     // Residual initialization of the partial sums (owned rows only:
@@ -88,42 +80,15 @@ runFast(EngineContext &ec, LayerResult &result)
     const std::uint64_t psum_stride = denseRowStride(ec.layer.outWidth);
     std::vector<Cycle> engine_cycles(ec.cfg.aggEngines, 0);
 
-    // Resolve each source vertex's neighbour run and its sampled
-    // destination picks once, then replay the pick stream for every
-    // strip: the walk depends only on the topology, not the strip.
-    // The topology stream only feeds counters, so it collapses to
-    // one total per pass.
-    auto &entries = ec.sweepEntries;
-    auto &picks = ec.sweepPicks;
-    entries.clear();
-    picks.clear();
+    // The program's walk depends only on the topology, so every
+    // strip replays it. The topology stream only feeds counters, so
+    // it collapses to one total per pass.
+    ec.buildColumnProgram();
+    const auto &entries = ec.sweepEntries;
+    const auto &picks = ec.sweepPicks;
     std::uint64_t topo_lines_per_pass = 0;
-    for (VertexId u = 0; u < n; ++u) {
-        const auto nbrs = graph.neighbors(u);
-        if (nbrs.empty())
-            continue;
-        EngineContext::SweepEntry entry;
-        entry.engine = static_cast<unsigned>(u % ec.cfg.aggEngines);
-        entry.edgeBegin = graph.rowPointers()[u];
-        entry.walk = ec.sampledEdges(
-            static_cast<std::uint32_t>(nbrs.size()));
-        entry.pickBegin = picks.size();
-        AccessPlan topo;
-        topo.addBytes(AddressMap::kTopologyBase +
-                          entry.edgeBegin * ec.layer.edgeBytes,
-                      static_cast<std::uint64_t>(entry.walk) *
-                          ec.layer.edgeBytes);
-        topo_lines_per_pass += topo.totalLines();
-        const double stride_f =
-            static_cast<double>(nbrs.size()) / entry.walk;
-        for (std::uint32_t j = 0; j < entry.walk; ++j) {
-            const auto pick = static_cast<std::size_t>(
-                static_cast<double>(j) * stride_f);
-            picks.push_back(nbrs[pick]);
-        }
-        entry.pickEnd = picks.size();
-        entries.push_back(entry);
-    }
+    for (const EngineContext::SweepEntry &entry : entries)
+        topo_lines_per_pass += ec.topologyPlan(entry).totalLines();
 
     for (unsigned strip = 0; strip < strips; ++strip) {
         const std::uint32_t begin_col = strip * strip_width;
@@ -137,8 +102,8 @@ runFast(EngineContext &ec, LayerResult &result)
         const Cycle pick_cost = std::max<Cycle>(
             1, divCeil(end_col - begin_col, ec.cfg.simdLanes));
         for (const EngineContext::SweepEntry &entry : entries) {
-            for (std::size_t i = entry.pickBegin; i < entry.pickEnd;
-                 ++i) {
+            const std::size_t pick_end = entry.pickBegin + entry.walk;
+            for (std::size_t i = entry.pickBegin; i < pick_end; ++i) {
                 const Addr strip_addr =
                     AddressMap::kPsumBase +
                     static_cast<Addr>(picks[i]) * psum_stride +
@@ -159,13 +124,9 @@ runFast(EngineContext &ec, LayerResult &result)
     const EngineContext::Snapshot drain_before = ec.snapshot();
     ec.psumBuffer->flush();
     // ...and X^{l+1} is emitted once after activation.
-    std::uint64_t serialized_write_lines = 0;
-    for (VertexId v = 0; v < owned; ++v) {
-        const AccessPlan write = out.planRowWrite(v);
-        ec.streamPlan(write, MemOp::Write, TrafficClass::FeatureOut);
-        if (!out.supportsParallelWrite())
-            serialized_write_lines += write.totalLines();
-    }
+    StreamLineCounter stream{ec.fastStreamTraffic};
+    const std::uint64_t serialized_write_lines =
+        ec.writeOutputRows(stream, 0, owned);
     const Cycle agg_time =
         serialized_write_lines * ec.cfg.dram.burstCycles +
         ec.phaseCycles(*std::max_element(engine_cycles.begin(),
@@ -201,13 +162,11 @@ runTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
 
     // Streaming input reads (combination) run concurrently with the
     // column-product aggregation: AWB-GCN pipelines the two phases.
     // One X pass per partial-sum strip (see runFast).
-    const unsigned strips = static_cast<unsigned>(
-        divCeil(ec.layer.outWidth, ec.psumStripWidth()));
+    const unsigned strips = ec.psumStrips();
     auto input_dma = std::make_shared<StreamDma>(ec, 128);
     for (unsigned strip = 0; strip < strips; ++strip) {
         for (VertexId v = 0; v < n; ++v) {
@@ -222,18 +181,12 @@ runTiming(EngineContext &ec, LayerResult &result)
                                  ec.denseRowLines(ec.layer.outWidth),
                              MemOp::Read, TrafficClass::FeatureIn);
     }
-    const GemmCost gemm = ec.systolic.gemm(
-        n, ec.layer.inWidth, ec.layer.outWidth,
-        ec.cfg.zeroSkipCombination ? ec.layer.inSparsity : 0.0);
-    ec.combMacs += gemm.macs;
-    const Cycle comb_compute = gemm.cycles / ec.cfg.combEngines;
+    const Cycle comb_compute =
+        ec.combineRows(n, ec.cfg.zeroSkipCombination);
     result.combCycles += comb_compute;
 
     auto psum = std::make_shared<TimingPsum>(ec);
     auto out_dma = std::make_shared<StreamDma>(ec, 128);
-    // The phase base is the layer's start on the shared timeline,
-    // not whatever events.now() happened to be at construction
-    // (ROADMAP phase1/DMA accounting audit).
     const Cycle start = ec.layerBase;
 
     bool agg_finished = false;
@@ -247,10 +200,7 @@ runTiming(EngineContext &ec, LayerResult &result)
         // Dirty partial sums flush as the S^{l+1} writeback, then
         // the activated X^{l+1} streams out.
         ec.psumBuffer->flush();
-        for (VertexId v = 0; v < owned; ++v) {
-            out_dma->addPlan(out.planRowWrite(v), MemOp::Write,
-                             TrafficClass::FeatureOut);
-        }
+        ec.writeOutputRows(*out_dma, 0, owned);
         out_dma->start(nullptr);
     });
     input_dma->start(nullptr);

@@ -12,21 +12,39 @@ namespace sgcn
 namespace
 {
 
-/** Zero-skip the streaming GEMM when the ultra-sparse input-layer
- *  combination runs on the sparse aggregator (SVII-B). */
-bool
-skipSparseInput(const EngineContext &ec)
+/** Phase 1's streaming GEMM X^l . W^l over every row. Besides the
+ *  personality's own zero-skipping, it skips zeros when the
+ *  ultra-sparse input-layer combination runs on the sparse
+ *  aggregator (SVII-B). Counts its MACs; returns the combination
+ *  engines' cycles. */
+Cycle
+combinePhase1(EngineContext &ec)
 {
-    return ec.layer.isInputLayer && ec.layer.inSparsity > 0.90 &&
-           ec.cfg.firstLayerSparseInput;
+    const bool sparse_input = ec.layer.isInputLayer &&
+                              ec.layer.inSparsity > 0.90 &&
+                              ec.cfg.firstLayerSparseInput;
+    return ec.combineRows(ec.layer.graph->numVertices(),
+                          ec.cfg.zeroSkipCombination || sparse_input);
+}
+
+/** The dense X.W matrix phase 2 aggregates. The full mask and the
+ *  dense psum-region layout are config-independent sweep artifacts
+ *  (every comb-first personality aggregates the same X.W shape). */
+std::shared_ptr<const FeatureLayout>
+xwLayout(const EngineContext &ec)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    return artifacts.preparedLayout(
+        FormatKind::Dense, ec.layer.outWidth, ec.cfg.sliceC, 0.5,
+        AddressMap::kPsumBase,
+        artifacts.fullMask(ec.layer.graph->numVertices(),
+                           ec.layer.outWidth));
 }
 
 void
 runFast(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
-    const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
 
     // Phase 1: combination as a streaming pass. X^l rows stream in,
     // X^l . W^l rows stream out to the psum region. The row reads
@@ -34,38 +52,21 @@ runFast(EngineContext &ec, LayerResult &result)
     // per-row plans collapse to one line total.
     const EngineContext::Snapshot comb_before = ec.snapshot();
     ec.fastStreamTraffic.add(MemOp::Read, TrafficClass::FeatureIn,
-                             in.totalRowReadLines());
+                             ec.layer.inLayout->totalRowReadLines());
     ec.streamDense(n, ec.layer.outWidth, MemOp::Write,
                    TrafficClass::PartialSum);
-    const GemmCost gemm = ec.systolic.gemm(
-        n, ec.layer.inWidth, ec.layer.outWidth,
-        (ec.cfg.zeroSkipCombination || skipSparseInput(ec))
-            ? ec.layer.inSparsity
-            : 0.0);
-    ec.combMacs += gemm.macs;
     const Cycle comb_time =
-        ec.phaseCycles(gemm.cycles / ec.cfg.combEngines, comb_before);
+        ec.phaseCycles(combinePhase1(ec), comb_before);
     result.combCycles += comb_time;
 
     // Phase 2: aggregation over the dense X.W matrix, then the
-    // output pass (residual add + activation + write). The full mask
-    // and the dense psum-region layout are config-independent sweep
-    // artifacts (every comb-first personality aggregates the same
-    // X.W shape).
-    auto &artifacts = StreamArtifactCache::instance();
-    const auto full = artifacts.fullMask(n, ec.layer.outWidth);
-    const auto xw = artifacts.preparedLayout(
-        FormatKind::Dense, ec.layer.outWidth, ec.cfg.sliceC, 0.5,
-        AddressMap::kPsumBase, full);
-
+    // output pass (residual add + activation + write).
+    const auto xw = xwLayout(ec);
     if (ec.cfg.davc)
         ec.pinDavc(AddressMap::kPsumBase, ec.layer.outWidth);
+    const auto view = ec.sweepView(*xw, ec.layer.outWidth);
 
-    const VertexId src_span =
-        ec.cfg.topologyTiling ? ec.pickSrcSpan(*xw) : n;
-    const VertexId dst_span = ec.pickDstSpan(*xw, ec.layer.outWidth);
-    const auto view = ec.tiledView(dst_span, src_span);
-
+    StreamLineCounter stream{ec.fastStreamTraffic};
     std::vector<EngineContext::TilePhase> tiles;
     std::vector<double> row_weights;
     tiles.reserve(view->numDstTiles());
@@ -84,10 +85,9 @@ runFast(EngineContext &ec, LayerResult &result)
 
         const EngineContext::Snapshot out_before = ec.snapshot();
         const std::uint64_t serialized_write_lines =
-            streamTileOutputFast(ec, tile_begin, tile_end, out);
-        phase.combTime = ec.phaseCycles(0, out_before);
-        phase.combTime +=
-            serialized_write_lines * ec.cfg.dram.burstCycles;
+            tileOutputPass(ec, stream, tile_begin, tile_end);
+        phase.combTime = ec.phaseCycles(0, out_before) +
+                         serialized_write_lines * ec.cfg.dram.burstCycles;
         tiles.push_back(phase);
         result.aggCycles += phase.aggTime;
         result.combCycles += phase.combTime;
@@ -130,7 +130,6 @@ runTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
-    const FeatureLayout &out = *ec.layer.outLayout;
 
     // Phase 1: streaming combination.
     auto phase1 = std::make_shared<StreamDma>(ec, 128);
@@ -142,27 +141,11 @@ runTiming(EngineContext &ec, LayerResult &result)
                       static_cast<std::uint64_t>(n) *
                           ec.denseRowLines(ec.layer.outWidth),
                       MemOp::Write, TrafficClass::PartialSum);
+    const Cycle comb_compute = combinePhase1(ec);
 
-    const GemmCost gemm = ec.systolic.gemm(
-        n, ec.layer.inWidth, ec.layer.outWidth,
-        (ec.cfg.zeroSkipCombination || skipSparseInput(ec))
-            ? ec.layer.inSparsity
-            : 0.0);
-    ec.combMacs += gemm.macs;
-    const Cycle comb_compute = gemm.cycles / ec.cfg.combEngines;
-
-    // Phase 2 state, shared with the continuation callbacks: the
-    // same full-mask/psum-layout/view artifacts the fast path uses.
-    auto &artifacts = StreamArtifactCache::instance();
-    const auto xw_mask = artifacts.fullMask(n, ec.layer.outWidth);
-    const auto xw = artifacts.preparedLayout(
-        FormatKind::Dense, ec.layer.outWidth, ec.cfg.sliceC, 0.5,
-        AddressMap::kPsumBase, xw_mask);
-
-    const VertexId src_span =
-        ec.cfg.topologyTiling ? ec.pickSrcSpan(*xw) : n;
-    const VertexId dst_span = ec.pickDstSpan(*xw, ec.layer.outWidth);
-    const auto view = ec.tiledView(dst_span, src_span);
+    // Phase 2 state, shared with the continuation callbacks.
+    const auto xw = xwLayout(ec);
+    const auto view = ec.sweepView(*xw, ec.layer.outWidth);
 
     auto ctl = std::make_shared<TileControl>();
     ctl->numTiles = view->numDstTiles();
@@ -176,11 +159,10 @@ runTiming(EngineContext &ec, LayerResult &result)
         ctl->agg->start([&, ctl, view, xw, t, agg_start] {
             result.aggCycles += ec.events.now() - agg_start;
             ctl->aggTrace.markEnd(ec.events.now());
-            const VertexId tile_begin = view->dstTileBegin(t);
-            const VertexId tile_end = view->dstTileEnd(t);
             ctl->drainTrace.markStart(ec.events.now());
             auto dma = std::make_shared<StreamDma>(ec, 128);
-            queueTileOutputDma(ec, *dma, tile_begin, tile_end, out);
+            tileOutputPass(ec, *dma, view->dstTileBegin(t),
+                           view->dstTileEnd(t));
             dma->start([&, ctl, t] {
                 ctl->drainTrace.markEnd(ec.events.now());
                 ctl->tileTraces.markReady(t, ec.events.now());
@@ -191,9 +173,6 @@ runTiming(EngineContext &ec, LayerResult &result)
         });
     };
 
-    // Phase 1 starts at the layer base, not at engine construction:
-    // with layers chained on one timeline the two are no longer the
-    // same cycle (ROADMAP phase1/DMA accounting audit).
     const Cycle phase1_start = ec.layerBase;
     phase1->start([&, ctl, phase1_start, comb_compute] {
         const Cycle ready =

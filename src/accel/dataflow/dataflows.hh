@@ -5,8 +5,10 @@
  * A dataflow simulates one GCN layer's access stream and cycle count
  * on the substrate an EngineContext owns, in ec.mode: fast
  * (functional cache + roofline) or timing (event-driven engines).
- * Each .cc keeps its two paths as file-local functions; all
- * per-layer state lives in the EngineContext.
+ * Each .cc keeps its two paths as file-local functions over shared
+ * set-up (views, layouts, GEMM cost, output pass); both paths take
+ * their aggregation stream from the EngineContext's sweep program.
+ * All per-layer state lives in the EngineContext.
  *
  * LayerEngine::run picks one with a switch on DataflowKind that has
  * no default case, so a DataflowKind value without a case fails to

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "accel/stream_artifacts.hh"
+#include "core/sac.hh"
 
 namespace sgcn
 {
@@ -28,35 +29,40 @@ EngineContext::denseRowLines(std::uint32_t width) const
     return denseRowStride(width) / kCachelineBytes;
 }
 
-std::uint32_t
-EngineContext::sampledEdges(std::uint32_t available) const
+Cycle
+EngineContext::combineRows(VertexId rows, bool zero_skip)
 {
-    if (layer.edgeSampleFraction >= 1.0 || available == 0)
-        return available;
-    const auto walk = static_cast<std::uint32_t>(
-        layer.edgeSampleFraction * available + 0.5);
-    return std::max<std::uint32_t>(1, std::min(walk, available));
+    const GemmCost gemm = systolic.gemm(
+        rows, layer.inWidth, layer.outWidth,
+        zero_skip ? layer.inSparsity : 0.0);
+    combMacs += gemm.macs;
+    return gemm.cycles / cfg.combEngines;
 }
 
-VertexId
-EngineContext::pickSrcSpan(const FeatureLayout &layout) const
+std::shared_ptr<const TiledGraphView>
+EngineContext::sweepView(const FeatureLayout &layout,
+                         std::uint32_t full_width) const
 {
-    return chooseSrcTileSpan(cfg.cache.sizeBytes,
-                             layout.staticSliceBytesEstimate(),
-                             layer.graph->numVertices());
-}
-
-VertexId
-EngineContext::pickDstSpan(const FeatureLayout &layout,
-                           std::uint32_t full_width) const
-{
+    const VertexId n = layer.graph->numVertices();
+    const VertexId src_span =
+        cfg.topologyTiling
+            ? chooseSrcTileSpan(cfg.cache.sizeBytes,
+                                layout.staticSliceBytesEstimate(), n)
+            : n;
     const std::uint32_t pass_cols =
         layout.supportsSlicing() ? layout.sliceWidth() : full_width;
     const auto psum_rows = static_cast<VertexId>(std::max<std::uint64_t>(
         64, cfg.aggPsumBudgetBytes /
                 (static_cast<std::uint64_t>(pass_cols) * kFeatureBytes)));
-    return std::min(
-        {cfg.dstTileRows, layer.graph->numVertices(), psum_rows});
+    const VertexId dst_span = std::min({cfg.dstTileRows, n, psum_rows});
+
+    auto &artifacts = StreamArtifactCache::instance();
+    // Hand-built fixtures may not carry a graph owner; canonicalize
+    // on the fly so the cached view co-owns its topology either way.
+    const std::shared_ptr<const CsrGraph> owner =
+        layer.graphOwner ? layer.graphOwner
+                         : artifacts.canonicalGraph(*layer.graph);
+    return artifacts.tiledView(owner, dst_span, src_span);
 }
 
 std::uint64_t
@@ -72,6 +78,13 @@ EngineContext::psumStripWidth() const
 {
     return cfg.sliceC == 0 ? layer.outWidth
                            : std::min(cfg.sliceC, layer.outWidth);
+}
+
+unsigned
+EngineContext::psumStrips() const
+{
+    return static_cast<unsigned>(
+        divCeil(layer.outWidth, psumStripWidth()));
 }
 
 TrafficCounters
@@ -124,13 +137,6 @@ EngineContext::streamDense(VertexId rows, std::uint32_t width, MemOp op,
 }
 
 void
-EngineContext::streamPlan(const AccessPlan &plan, MemOp op,
-                          TrafficClass cls)
-{
-    fastStreamTraffic.add(op, cls, plan.totalLines());
-}
-
-void
 EngineContext::pinDavc(Addr base, std::uint32_t width)
 {
     // Pin the hottest vertices' rows until the DAVC budget is spent.
@@ -156,16 +162,116 @@ EngineContext::pinDavc(Addr base, std::uint32_t width)
     }
 }
 
-std::shared_ptr<const TiledGraphView>
-EngineContext::tiledView(VertexId dst_span, VertexId src_span) const
+namespace
 {
-    auto &artifacts = StreamArtifactCache::instance();
-    // Hand-built fixtures may not carry a graph owner; canonicalize
-    // on the fly so the cached view co-owns its topology either way.
-    const std::shared_ptr<const CsrGraph> owner =
-        layer.graphOwner ? layer.graphOwner
-                         : artifacts.canonicalGraph(*layer.graph);
-    return artifacts.tiledView(owner, dst_span, src_span);
+
+/** Append one non-empty neighbour run and its sampled picks to
+ *  @p ec's program: the run walks the layer's sampled fraction of
+ *  its edges (at least one) at an even stride. */
+void
+appendSweepEntry(EngineContext &ec, unsigned engine, EdgeId edge_begin,
+                 CsrGraph::NeighborRange nbrs)
+{
+    const auto available = static_cast<std::uint32_t>(nbrs.size());
+    std::uint32_t walk = available;
+    if (ec.layer.edgeSampleFraction < 1.0) {
+        walk = std::clamp<std::uint32_t>(
+            static_cast<std::uint32_t>(
+                ec.layer.edgeSampleFraction * available + 0.5),
+            1, available);
+    }
+    ec.sweepEntries.push_back(
+        EngineContext::SweepEntry{engine, walk, edge_begin,
+                                  ec.sweepPicks.size()});
+    const double stride = static_cast<double>(available) / walk;
+    for (std::uint32_t j = 0; j < walk; ++j) {
+        ec.sweepPicks.push_back(nbrs[static_cast<std::size_t>(
+            static_cast<double>(j) * stride)]);
+    }
+}
+
+} // namespace
+
+void
+EngineContext::buildTileProgram(const TiledGraphView &view,
+                                unsigned tile)
+{
+    const auto schedule = scheduleEngines(
+        view.dstTileBegin(tile), view.dstTileEnd(tile), cfg.aggEngines,
+        cfg.sac ? EngineScheduleKind::SacStrips
+                : EngineScheduleKind::Chunked,
+        cfg.sacStripHeight);
+    std::size_t max_len = 0;
+    for (const auto &order : schedule)
+        max_len = std::max(max_len, order.size());
+
+    sweepEntries.clear();
+    sweepPicks.clear();
+    sweepSrcBegin.clear();
+    for (unsigned c = 0; c < view.numSrcTiles(); ++c) {
+        sweepSrcBegin.push_back(sweepEntries.size());
+        for (std::size_t idx = 0; idx < max_len; ++idx) {
+            for (unsigned e = 0; e < cfg.aggEngines; ++e) {
+                if (idx >= schedule[e].size())
+                    continue;
+                const VertexId v = schedule[e][idx];
+                const auto nbrs = view.tileNeighbors(v, c);
+                if (!nbrs.empty()) {
+                    appendSweepEntry(*this, e, view.edgeBegin(v, c),
+                                     nbrs);
+                }
+            }
+        }
+    }
+    sweepSrcBegin.push_back(sweepEntries.size());
+}
+
+void
+EngineContext::buildColumnProgram()
+{
+    const CsrGraph &graph = *layer.graph;
+    sweepEntries.clear();
+    sweepPicks.clear();
+    sweepSrcBegin.assign(1, 0);
+    for (VertexId u = 0; u < graph.numVertices(); ++u) {
+        const auto nbrs = graph.neighbors(u);
+        if (!nbrs.empty()) {
+            appendSweepEntry(*this, u % cfg.aggEngines,
+                             graph.rowPointers()[u], nbrs);
+        }
+    }
+    sweepSrcBegin.push_back(sweepEntries.size());
+}
+
+EngineContext::SweepPick
+EngineContext::nextPick(SweepCursor &at, unsigned passes,
+                        unsigned engine) const
+{
+    while (at.srcTile + 1 < sweepSrcBegin.size()) {
+        if (at.entry == sweepSrcBegin[at.srcTile + 1]) {
+            // Pass over: replay the source tile's runs for the next
+            // one, or move on to the next source tile.
+            if (++at.pass == passes) {
+                at.pass = 0;
+                ++at.srcTile;
+            }
+            at.entry = sweepSrcBegin[at.srcTile];
+            continue;
+        }
+        const SweepEntry &run = sweepEntries[at.entry];
+        if (engine != kAnyEngine && run.engine != engine) {
+            ++at.entry;
+            continue;
+        }
+        const SweepPick pick{&run, sweepPicks[run.pickBegin + at.pick],
+                             at.pass, at.pick == 0};
+        if (++at.pick == run.walk) {
+            at.pick = 0;
+            ++at.entry;
+        }
+        return pick;
+    }
+    return {};
 }
 
 EngineContext::TilePhase

@@ -5,7 +5,11 @@
  * EngineContext bundles everything a dataflow needs to simulate one
  * layer — configuration, layer context, event queue, DRAM, shared
  * cache, systolic array, stream-traffic counters — plus the
- * roofline, snapshot and stream helpers both execution modes share.
+ * roofline, snapshot and stream helpers both execution modes share,
+ * and the sweep program: the neighbour runs and sampled picks of one
+ * aggregation sweep, built once and consumed by both clocks (the
+ * fast replay through the functional cache, the timing engines
+ * through the event kernel).
  * It is the documented interface between the dataflows
  * (src/accel/dataflow/dataflows.hh) and the timing engines
  * (src/accel/timing/), which call its Dram and Cache directly: all
@@ -37,6 +41,25 @@ denseRowStride(std::uint32_t width)
     return alignUp(static_cast<std::uint64_t>(width) * kFeatureBytes,
                    kCachelineBytes);
 }
+
+/** Fast mode's stream sink: counts each queued region's lines as
+ *  stream traffic where timing mode's StreamDma issues them. */
+struct StreamLineCounter
+{
+    TrafficCounters &traffic;
+
+    void
+    addPlan(const AccessPlan &plan, MemOp op, TrafficClass cls)
+    {
+        traffic.add(op, cls, plan.totalLines());
+    }
+
+    void
+    addRegion(Addr, std::uint64_t lines, MemOp op, TrafficClass cls)
+    {
+        traffic.add(op, cls, lines);
+    }
+};
 
 /** Execution state of one layer; construct fresh per (config, layer). */
 struct EngineContext
@@ -79,38 +102,56 @@ struct EngineContext
     void streamDense(VertexId rows, std::uint32_t width, MemOp op,
                      TrafficClass cls);
 
-    /** Count one plan as stream traffic (fast mode). */
-    void streamPlan(const AccessPlan &plan, MemOp op, TrafficClass cls);
+    /** Queue the X^{l+1} row writes of rows [begin, end) on @p sink.
+     *  @return the write lines of packed variable-length formats,
+     *          which serialize behind a running offset counter
+     *          (SV-A): one write stream, no channel-level
+     *          parallelism. */
+    template <typename Sink>
+    std::uint64_t
+    writeOutputRows(Sink &sink, VertexId begin, VertexId end) const
+    {
+        const FeatureLayout &out = *layer.outLayout;
+        std::uint64_t serialized_lines = 0;
+        for (VertexId v = begin; v < end; ++v) {
+            const AccessPlan write = out.planRowWrite(v);
+            sink.addPlan(write, MemOp::Write, TrafficClass::FeatureOut);
+            if (!out.supportsParallelWrite())
+                serialized_lines += write.totalLines();
+        }
+        return serialized_lines;
+    }
 
-    /** Sampled edge count for a (vertex, src-tile) edge range. */
-    std::uint32_t sampledEdges(std::uint32_t available) const;
+    /** Combination GEMM of @p rows x inWidth by inWidth x outWidth on
+     *  the systolic arrays, zero-skipping the input's sparsity when
+     *  @p zero_skip. Counts its MACs; returns the combination
+     *  engines' cycles. */
+    Cycle combineRows(VertexId rows, bool zero_skip);
 
     /** Pin high-degree rows for EnGN's DAVC. */
     void pinDavc(Addr base, std::uint32_t width);
 
-    /** The layer topology's (dst_span x src_span) tile view, shared
-     *  across configs via the stream-artifact cache. */
+    /** The (dst x src) tile view an aggregation sweep over @p layout
+     *  walks, shared across configs via the stream-artifact cache.
+     *  Source tiles are sized offline from the layout's static
+     *  density estimate (one tile when topology tiling is off);
+     *  the psum buffer bounds the destination tiles, so narrow
+     *  sliced passes allow tall tiles and whole-row passes of
+     *  @p full_width shrink them (SV-B). */
     std::shared_ptr<const TiledGraphView>
-    tiledView(VertexId dst_span, VertexId src_span) const;
-
-    /** Offline source-tile span from the static density estimate. */
-    VertexId pickSrcSpan(const FeatureLayout &layout) const;
-
-    /** Destination-tile span: the psum buffer bounds the tile, so
-     *  narrow sliced passes allow tall tiles and whole-row passes
-     *  shrink them (SV-B). @p full_width is the pass width when the
-     *  layout does not slice. */
-    VertexId pickDstSpan(const FeatureLayout &layout,
-                         std::uint32_t full_width) const;
+    sweepView(const FeatureLayout &layout,
+              std::uint32_t full_width) const;
 
     /** Weight-matrix lines streamed once per layer. */
     std::uint64_t weightLines() const;
 
     /** Column-product partial-sum strip width: whole output rows
-     *  when sliceC is zero, one feature slice otherwise. Shared by
-     *  the fast and timing column-product paths so their streams
-     *  cannot desynchronize. */
+     *  when sliceC is zero, one feature slice otherwise. */
     std::uint32_t psumStripWidth() const;
+
+    /** Column-product partial-sum strips per layer: one X pass and
+     *  one topology walk each. */
+    unsigned psumStrips() const;
 
     /** Component-wise sums of per-tile phase times (the totals the
      *  tile pipeline and the layer schedules are built from). */
@@ -140,12 +181,11 @@ struct EngineContext
 
     /** Event-queue time at which the current layer run began; set by
      *  the layer engine before dispatching to the dataflow. Timing
-     *  paths measure every phase relative to this base instead of
-     *  capturing events.now() ad hoc at engine construction — the
-     *  construction-time capture was only correct while each layer
-     *  owned a private queue starting at cycle 0, and silently breaks
-     *  the moment layers share a timeline (ROADMAP phase1/DMA
-     *  accounting audit). */
+     *  paths measure every phase from this base, not from cycle 0 or
+     *  from events.now() at some engine's construction, because
+     *  layers share one timeline: the schedule a dataflow reports is
+     *  layer-local, and the network pipeline chains it after the
+     *  previous layer's. */
     Cycle layerBase = 0;
 
     EventQueue events;
@@ -165,22 +205,81 @@ struct EngineContext
     std::uint64_t aggMacs = 0;
     std::uint64_t combMacs = 0;
 
-    /** One (vertex, src-tile) neighbour run of the fast aggregation
-     *  sweep, resolved once per source tile and replayed for every
-     *  feature slice (see sweepTileFast). */
+    // -- the sweep program -------------------------------------------
+
+    /** One neighbour run of the sweep program: a (vertex, source
+     *  tile) run of a row-product tile, or a source vertex's
+     *  out-edges in the column product. Its picks are
+     *  sweepPicks[pickBegin, pickBegin + walk). */
     struct SweepEntry
     {
         unsigned engine = 0;
-        EdgeId edgeBegin = 0;
         std::uint32_t walk = 0;
+        EdgeId edgeBegin = 0;
         std::size_t pickBegin = 0;
-        std::size_t pickEnd = 0;
     };
 
-    /** sweepTileFast scratch, reused across tiles and slices so the
-     *  warm fast path stays allocation-free. */
+    /** Fill the program with destination tile @p tile's runs:
+     *  source tiles outermost (the edge buffer, Fig. 5), then the
+     *  engines' schedules dealt round-robin at vertex granularity,
+     *  which approximates their concurrency in the shared cache's
+     *  access order. Runs with no edges are left out. */
+    void buildTileProgram(const TiledGraphView &view, unsigned tile);
+
+    /** Fill the program with the column product's runs: every
+     *  source vertex's out-edges in vertex order, dealt to the
+     *  engines by vertex, as one source tile. */
+    void buildColumnProgram();
+
+    /** Topology lines of one run's sampled edges, fetched once into
+     *  the edge buffer and replayed for every later pass. */
+    AccessPlan
+    topologyPlan(const SweepEntry &entry) const
+    {
+        AccessPlan plan;
+        plan.addBytes(AddressMap::kTopologyBase +
+                          entry.edgeBegin * layer.edgeBytes,
+                      static_cast<std::uint64_t>(entry.walk) *
+                          layer.edgeBytes);
+        return plan;
+    }
+
+    /** A timing engine's place in the program: source tile, pass
+     *  (feature slice or partial-sum strip), run, pick. */
+    struct SweepCursor
+    {
+        unsigned srcTile = 0;
+        unsigned pass = 0;
+        std::size_t entry = 0;
+        std::uint32_t pick = 0;
+    };
+
+    /** One pick as a timing engine issues it; run is null once the
+     *  program is done. */
+    struct SweepPick
+    {
+        const SweepEntry *run = nullptr;
+        VertexId vertex = 0;
+        unsigned pass = 0;
+        /** The run's first pick in this pass. */
+        bool first = false;
+    };
+
+    /** nextPick's engine for a cursor every engine shares. */
+    static constexpr unsigned kAnyEngine = ~0u;
+
+    /** The pick at @p at, advancing @p at past it. Each source
+     *  tile's runs are replayed for @p passes passes; only
+     *  @p engine's runs are visited (every run for kAnyEngine). */
+    SweepPick nextPick(SweepCursor &at, unsigned passes,
+                       unsigned engine) const;
+
+    /** The program, rebuilt in place for every tile so the warm
+     *  sweep stays allocation-free. sweepSrcBegin holds the first
+     *  entry of each source tile's runs plus one past the last. */
     std::vector<SweepEntry> sweepEntries;
     std::vector<VertexId> sweepPicks;
+    std::vector<std::size_t> sweepSrcBegin;
 };
 
 } // namespace sgcn

@@ -3,15 +3,24 @@
  * Single-layer execution façade.
  *
  * Simulates one GCN layer on one accelerator personality in either
- * of two modes sharing identical access streams:
+ * of two modes. Both issue the same line requests, from one sweep
+ * program per tile (EngineContext::buildTileProgram,
+ * buildColumnProgram) and one output pass per tile:
  *
- *  - Fast: the stream drives a functional cache model; cycles come
+ *  - Fast: the program replays through a functional cache model,
+ *    the engines interleaved round-robin per vertex; cycles come
  *    from a phase-level roofline over engine compute, DRAM
  *    bandwidth, and cache throughput, with tile-level pipelining
  *    between aggregation and combination.
- *  - Timing: the stream is issued by event-driven engine models with
- *    bounded outstanding-request windows through the timing cache
- *    and the banked HBM model; cycles are event time.
+ *  - Timing: event-driven engine models issue the program, each
+ *    running ahead within its bounded outstanding-request window,
+ *    through the timing cache and the banked HBM model; cycles are
+ *    event time.
+ *
+ * Two known differences remain: timing-mode aggregation-first does
+ * not pin EnGN's degree-aware vertex cache rows (ROADMAP item 3),
+ * and the timing cache counts a request it parks for want of an MSHR
+ * twice, as a miss and again when it drains (ROADMAP item 1).
  *
  * The dataflow simulation itself lives in src/accel/dataflow/
  * (dataflows.hh): LayerEngine owns the shared EngineContext, calls

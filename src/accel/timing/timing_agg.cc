@@ -1,29 +1,18 @@
 #include "accel/timing/timing_agg.hh"
 
-#include "core/sac.hh"
 #include "sim/logging.hh"
 
 namespace sgcn
 {
 
 TimingAgg::TimingAgg(EngineContext &engine_ctx,
-                     const TiledGraphView &tile_view, unsigned tile,
+                     const TiledGraphView &view, unsigned tile,
                      const FeatureLayout &feature_layout,
                      TrafficClass traffic_cls)
-    : ec(engine_ctx), view(tile_view), layout(feature_layout),
-      cls(traffic_cls)
+    : ec(engine_ctx), layout(feature_layout), cls(traffic_cls),
+      engines(engine_ctx.cfg.aggEngines)
 {
-    const VertexId tile_begin = view.dstTileBegin(tile);
-    const VertexId tile_end = view.dstTileEnd(tile);
-    auto schedule = scheduleEngines(tile_begin, tile_end,
-                                    ec.cfg.aggEngines,
-                                    ec.cfg.sac
-                                        ? EngineScheduleKind::SacStrips
-                                        : EngineScheduleKind::Chunked,
-                                    ec.cfg.sacStripHeight);
-    engines.resize(ec.cfg.aggEngines);
-    for (unsigned e = 0; e < ec.cfg.aggEngines; ++e)
-        engines[e].order = std::move(schedule[e]);
+    ec.buildTileProgram(view, tile);
 }
 
 void
@@ -35,93 +24,47 @@ TimingAgg::start(std::function<void()> on_done)
     checkDone();
 }
 
-bool
-TimingAgg::nextItem(EngineState &es, Item &item)
-{
-    // Iteration order matches the fast mode: source tile outermost
-    // (edge buffer replay), then slice, then the engine's vertex
-    // order.
-    const unsigned slices = layout.numSlices();
-    while (true) {
-        if (es.exhausted)
-            return false;
-        if (!es.vertexLoaded) {
-            if (es.vi >= es.order.size()) {
-                es.vi = 0;
-                if (++es.slice >= slices) {
-                    es.slice = 0;
-                    if (++es.srcTile >= view.numSrcTiles()) {
-                        es.exhausted = true;
-                        return false;
-                    }
-                }
-                continue;
-            }
-            es.curV = es.order[es.vi];
-            es.nbrs = view.tileNeighbors(es.curV, es.srcTile);
-            es.walk = ec.sampledEdges(
-                static_cast<std::uint32_t>(es.nbrs.size()));
-            if (es.walk == 0) {
-                ++es.vi;
-                continue;
-            }
-            es.stride = static_cast<double>(es.nbrs.size()) / es.walk;
-            es.edge = 0;
-            es.vertexLoaded = true;
-        }
-
-        const auto pick = static_cast<std::size_t>(
-            static_cast<double>(es.edge) * es.stride);
-        const VertexId u = es.nbrs[pick];
-        item.feat = layout.planSliceRead(u, es.slice);
-        item.values = layout.sliceValues(u, es.slice);
-        item.topo = AccessPlan{};
-        if (es.edge == 0 && es.slice == 0) {
-            // Topology fetched once per (v, c); later slices replay
-            // the edge buffer (Fig. 5).
-            item.topo.addBytes(
-                AddressMap::kTopologyBase +
-                    view.edgeBegin(es.curV, es.srcTile) *
-                        ec.layer.edgeBytes,
-                static_cast<std::uint64_t>(es.walk) *
-                    ec.layer.edgeBytes);
-        }
-        if (++es.edge == es.walk) {
-            es.vertexLoaded = false;
-            ++es.vi;
-        }
-        return true;
-    }
-}
-
 void
 TimingAgg::tryIssue(unsigned e)
 {
     EngineState &es = engines[e];
     while (es.outstanding < ec.cfg.outstandingPerEngine) {
-        Item item;
-        if (!nextItem(es, item))
+        // Source tile, slice, the engine's runs, pick: the fast
+        // sweep's order, restricted to this engine.
+        const EngineContext::SweepPick pick =
+            ec.nextPick(es.at, layout.numSlices(), e);
+        if (!pick.run) {
+            es.exhausted = true;
             break;
+        }
+        const AccessPlan feat =
+            layout.planSliceRead(pick.vertex, pick.pass);
+        // Topology is fetched once per run, with its first pick of
+        // slice 0; later slices replay the edge buffer (Fig. 5).
+        const AccessPlan topo = pick.first && pick.pass == 0
+                                    ? ec.topologyPlan(*pick.run)
+                                    : AccessPlan{};
+        SGCN_ASSERT(feat.numRuns > 0 || topo.numRuns > 0);
         ++es.outstanding;
-        SGCN_ASSERT(item.feat.numRuns > 0 || item.topo.numRuns > 0);
-        const std::uint32_t values = item.values;
+        const std::uint32_t values =
+            layout.sliceValues(pick.vertex, pick.pass);
         MemCallback on_item([this, e, values] { itemDone(e, values); });
         // Topology streams from DRAM, features go through the cache
         // hierarchy; a pooled two-way join replaces the per-line
         // closures when the item carries both.
-        if (item.topo.numRuns > 0 && item.feat.numRuns > 0) {
+        if (topo.numRuns > 0 && feat.numRuns > 0) {
             BurstPool::Node *join = joins.join(2, std::move(on_item));
-            ec.dram.accessBurst(item.topo, MemOp::Read,
+            ec.dram.accessBurst(topo, MemOp::Read,
                                 TrafficClass::Topology,
                                 BurstPool::part(join));
-            ec.cache.accessBurst(item.feat, MemOp::Read, cls,
+            ec.cache.accessBurst(feat, MemOp::Read, cls,
                                  BurstPool::part(join));
-        } else if (item.topo.numRuns > 0) {
-            ec.dram.accessBurst(item.topo, MemOp::Read,
+        } else if (topo.numRuns > 0) {
+            ec.dram.accessBurst(topo, MemOp::Read,
                                 TrafficClass::Topology,
                                 std::move(on_item));
         } else {
-            ec.cache.accessBurst(item.feat, MemOp::Read, cls,
+            ec.cache.accessBurst(feat, MemOp::Read, cls,
                                  std::move(on_item));
         }
     }

@@ -2,19 +2,18 @@
  * @file
  * Event-driven row-product aggregation engine (timing mode).
  *
- * Each engine walks its vertex schedule with a bounded number of
- * in-flight work items; feature lines go through the timing cache,
- * topology lines stream from DRAM, and completed items occupy the
- * engine's SIMD lanes for ceil(values / lanes) cycles. All memory
- * and event-queue interaction goes through the public EngineContext
- * interface.
+ * Each engine walks its runs of the tile's sweep program (the one
+ * the fast sweep replays) with a bounded number of in-flight work
+ * items; feature lines go through the timing cache, topology lines
+ * stream from DRAM, and completed items occupy the engine's SIMD
+ * lanes for ceil(values / lanes) cycles. All memory and event-queue
+ * interaction goes through the public EngineContext interface.
  */
 
 #ifndef SGCN_ACCEL_TIMING_TIMING_AGG_HH
 #define SGCN_ACCEL_TIMING_TIMING_AGG_HH
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "accel/engine_context.hh"
@@ -27,7 +26,8 @@ namespace sgcn
 class TimingAgg
 {
   public:
-    /** @param ec shared per-layer state
+    /** Builds the tile's sweep program in @p ec.
+     *  @param ec shared per-layer state
      *  @param view tiled topology
      *  @param tile destination-tile index swept by this instance
      *  @param layout layout of the aggregated feature matrix
@@ -40,39 +40,21 @@ class TimingAgg
     void start(std::function<void()> on_done);
 
   private:
-    struct Item
-    {
-        AccessPlan feat;
-        AccessPlan topo;
-        std::uint32_t values = 0;
-    };
-
     struct EngineState
     {
-        std::vector<VertexId> order;
-        unsigned slice = 0;
-        unsigned srcTile = 0;
-        std::size_t vi = 0;
-        VertexId curV = 0;
-        /** Neighbour span of (curV, srcTile), cached at vertex load
-         *  instead of re-resolved for every sampled edge. */
-        CsrGraph::NeighborRange nbrs;
-        std::uint32_t edge = 0;
-        std::uint32_t walk = 0;
-        double stride = 1.0;
-        bool vertexLoaded = false;
+        /** Engines run ahead of each other into different source
+         *  tiles, so each keeps its own place in the program. */
+        EngineContext::SweepCursor at;
         unsigned outstanding = 0;
         Cycle computeFreeAt = 0;
         bool exhausted = false;
     };
 
-    bool nextItem(EngineState &es, Item &item);
     void tryIssue(unsigned e);
     void itemDone(unsigned e, std::uint32_t values);
     void checkDone();
 
     EngineContext &ec;
-    const TiledGraphView &view;
     const FeatureLayout &layout;
     TrafficClass cls;
     std::vector<EngineState> engines;

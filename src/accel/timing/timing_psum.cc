@@ -5,15 +5,14 @@
 namespace sgcn
 {
 
-TimingPsum::TimingPsum(EngineContext &engine_ctx) : ec(engine_ctx)
+TimingPsum::TimingPsum(EngineContext &engine_ctx)
+    : ec(engine_ctx), engines(engine_ctx.cfg.aggEngines),
+      stripWidth(engine_ctx.psumStripWidth()),
+      strips(engine_ctx.psumStrips())
 {
     SGCN_ASSERT(ec.psumBuffer,
                 "column-product timing requires accumulator banks");
-    engines.resize(ec.cfg.aggEngines);
-    psumStride = denseRowStride(ec.layer.outWidth);
-    stripWidth = ec.psumStripWidth();
-    strips =
-        static_cast<unsigned>(divCeil(ec.layer.outWidth, stripWidth));
+    ec.buildColumnProgram();
 }
 
 void
@@ -25,68 +24,25 @@ TimingPsum::start(std::function<void()> on_done)
     checkDone();
 }
 
-bool
-TimingPsum::nextEdge(VertexId &dst, AccessPlan &topo)
-{
-    const CsrGraph &graph = *ec.layer.graph;
-    while (true) {
-        if (strip >= strips)
-            return false;
-        if (u >= graph.numVertices()) {
-            u = 0;
-            ++strip;
-            continue;
-        }
-        if (!vertexLoaded) {
-            nbrs = graph.neighbors(u);
-            walk = ec.sampledEdges(
-                static_cast<std::uint32_t>(nbrs.size()));
-            if (walk == 0) {
-                ++u;
-                continue;
-            }
-            stride = static_cast<double>(nbrs.size()) / walk;
-            edge = 0;
-            vertexLoaded = true;
-        }
-        const auto pick = static_cast<std::size_t>(
-            static_cast<double>(edge) * stride);
-        dst = nbrs[pick];
-        topo = AccessPlan{};
-        if (edge == 0) {
-            topo.addBytes(AddressMap::kTopologyBase +
-                              graph.rowPointers()[u] *
-                                  ec.layer.edgeBytes,
-                          static_cast<std::uint64_t>(walk) *
-                              ec.layer.edgeBytes);
-        }
-        if (++edge == walk) {
-            vertexLoaded = false;
-            ++u;
-        }
-        return true;
-    }
-}
-
 void
 TimingPsum::tryIssue(unsigned e)
 {
     EngineState &es = engines[e];
     while (es.outstanding < ec.cfg.outstandingPerEngine) {
-        VertexId dst;
-        AccessPlan topo;
-        if (!nextEdge(dst, topo)) {
+        const EngineContext::SweepPick pick =
+            ec.nextPick(at, strips, EngineContext::kAnyEngine);
+        if (!pick.run) {
             exhausted = true;
             break;
         }
-        // The cursor leaves `strip` at the strip this edge belongs
-        // to.
-        const std::uint32_t begin_col = strip * stripWidth;
+        const std::uint32_t begin_col = pick.pass * stripWidth;
         const std::uint32_t end_col =
             std::min(begin_col + stripWidth, ec.layer.outWidth);
         AccessPlan strip_plan;
         strip_plan.addBytes(
-            AddressMap::kPsumBase + static_cast<Addr>(dst) * psumStride +
+            AddressMap::kPsumBase +
+                static_cast<Addr>(pick.vertex) *
+                    denseRowStride(ec.layer.outWidth) +
                 static_cast<Addr>(begin_col) * kFeatureBytes,
             static_cast<std::uint64_t>(end_col - begin_col) *
                 kFeatureBytes);
@@ -94,10 +50,12 @@ TimingPsum::tryIssue(unsigned e)
         ++es.outstanding;
         const std::uint32_t values = end_col - begin_col;
         MemCallback on_item([this, e, values] { itemDone(e, values); });
-        // The strip is always non-empty; the topology plan exists
-        // only on a vertex's first sampled edge. Topology streams
+        // The strip is always non-empty; the topology plan rides on
+        // each run's first pick of every strip. Topology streams
         // from DRAM first, then the strip read-modify-writes the
         // accumulator banks, exactly as the per-line path issued.
+        const AccessPlan topo =
+            pick.first ? ec.topologyPlan(*pick.run) : AccessPlan{};
         if (topo.numRuns > 0) {
             BurstPool::Node *join = joins.join(2, std::move(on_item));
             ec.dram.accessBurst(topo, MemOp::Read,

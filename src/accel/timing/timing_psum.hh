@@ -1,9 +1,10 @@
 /**
  * @file
  * Event-driven column-product aggregation engine (timing mode,
- * AWB-GCN): a shared cursor over (source vertex, out-edge) pairs;
- * each item read-modify-writes the destination's partial-sum strip
- * through the accumulator banks. Requires the EngineContext's
+ * AWB-GCN): one cursor, shared by every engine, over the column
+ * product's sweep program (the one the fast path replays), strip by
+ * strip; each pick read-modify-writes the destination's partial-sum
+ * strip through the accumulator banks. Requires the EngineContext's
  * psumBuffer (present for ColumnProduct personalities).
  */
 
@@ -11,7 +12,6 @@
 #define SGCN_ACCEL_TIMING_TIMING_PSUM_HH
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "accel/engine_context.hh"
@@ -24,6 +24,7 @@ namespace sgcn
 class TimingPsum
 {
   public:
+    /** Builds the column product's sweep program in @p ec. */
     explicit TimingPsum(EngineContext &ec);
 
     /** Begin issuing; @p on_done fires when every engine drains. */
@@ -36,7 +37,6 @@ class TimingPsum
         Cycle computeFreeAt = 0;
     };
 
-    bool nextEdge(VertexId &dst, AccessPlan &topo);
     void tryIssue(unsigned e);
     void itemDone(unsigned e, std::uint32_t values);
     void checkDone();
@@ -45,19 +45,11 @@ class TimingPsum
     std::vector<EngineState> engines;
     /** Joins the topology and partial-sum bursts of one item. */
     BurstPool joins;
-    std::uint64_t psumStride = 0;
     std::uint32_t stripWidth = 0;
     unsigned strips = 0;
-    unsigned strip = 0;
-    VertexId u = 0;
-    /** Current vertex's neighbour span, resolved once per vertex and
-     *  replayed for its remaining sampled edges (same memo TimingAgg
-     *  keeps for tileNeighbors). */
-    CsrGraph::NeighborRange nbrs;
-    std::uint32_t edge = 0;
-    std::uint32_t walk = 0;
-    double stride = 1.0;
-    bool vertexLoaded = false;
+    /** The engines' shared place in the program; its pass is the
+     *  strip. */
+    EngineContext::SweepCursor at;
     bool exhausted = false;
     bool signalled = false;
     std::function<void()> done;
