@@ -1,9 +1,11 @@
 #include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 
 #include "accel/dataflow/row_product_common.hh"
-#include "accel/timing/tile_control.hh"
+#include "accel/timing/stream_dma.hh"
 
 namespace sgcn
 {
@@ -90,74 +92,75 @@ void
 runTiming(EngineContext &ec, const TiledGraphView &view,
           LayerResult &result)
 {
-    auto ctl = std::make_shared<TileControl>();
-    ctl->numTiles = view.numDstTiles();
-    ctl->combDone.assign(ctl->numTiles, 0);
-    ctl->tileTraces.resize(ctl->numTiles);
+    const unsigned tiles = view.numDstTiles();
+    std::vector<Cycle> comb_done(tiles, 0);
+    Cycle comb_free_at = 0;
+    PhaseTrace agg_trace;
+    PhaseTrace comb_trace;
+    PhaseTrace drain_trace;
+    TileTraces tile_traces(tiles);
+    TimingSweep<RowProductPicks> sweep(
+        ec, RowProductPicks(ec, *ec.layer.inLayout,
+                            TrafficClass::FeatureIn));
+    std::deque<StreamDma> drains;
 
-    ctl->startTile = [&, ctl](unsigned t) {
+    // The callbacks capture this frame's locals by reference: the
+    // events.run() below drains every event before it returns.
+    std::function<void(unsigned)> start_tile = [&](unsigned t) {
         // Ping-pong psum buffers: aggregation of tile t may only
         // start once combination of tile t-2 has drained its buffer.
-        const Cycle gate = t >= 2 ? ctl->combDone[t - 2] : 0;
-        ec.events.schedule(std::max(ec.events.now(), gate),
-                           [&, ctl, t] {
+        const Cycle gate = t >= 2 ? comb_done[t - 2] : 0;
+        ec.events.schedule(std::max(ec.events.now(), gate), [&, t] {
             const Cycle agg_start = ec.events.now();
-            ctl->aggTrace.markStart(agg_start);
-            ctl->tileTraces.markConsumeStart(t, agg_start);
-            ctl->agg = std::make_shared<TimingAgg>(
-                ec, view, t, *ec.layer.inLayout,
-                TrafficClass::FeatureIn);
-            ctl->agg->start([&, ctl, t, agg_start] {
+            agg_trace.markStart(agg_start);
+            tile_traces.markConsumeStart(t, agg_start);
+            ec.buildTileProgram(view, t);
+            sweep.start([&, t, agg_start] {
                 result.aggCycles += ec.events.now() - agg_start;
-                ctl->aggTrace.markEnd(ec.events.now());
-                ctl->tileTraces.markConsumeEnd(t, ec.events.now());
+                agg_trace.markEnd(ec.events.now());
+                tile_traces.markConsumeEnd(t, ec.events.now());
                 const Cycle comb_cycles = combineTile(ec, view, t);
                 const Cycle comb_start =
-                    std::max(ec.events.now(), ctl->combFreeAt);
-                ctl->combFreeAt = comb_start + comb_cycles;
-                ctl->combDone[t] = ctl->combFreeAt;
+                    std::max(ec.events.now(), comb_free_at);
+                comb_free_at = comb_start + comb_cycles;
+                comb_done[t] = comb_free_at;
                 result.combCycles += comb_cycles;
-                ctl->combTrace.markStart(comb_start);
-                ctl->combTrace.markEnd(ctl->combFreeAt);
+                comb_trace.markStart(comb_start);
+                comb_trace.markEnd(comb_free_at);
 
-                ec.events.schedule(ctl->combFreeAt, [&, ctl, t] {
-                    ctl->drainTrace.markStart(ec.events.now());
-                    auto dma = std::make_shared<StreamDma>(ec, 128);
-                    tileOutputPass(ec, *dma, view.dstTileBegin(t),
+                ec.events.schedule(comb_free_at, [&, t] {
+                    drain_trace.markStart(ec.events.now());
+                    StreamDma &dma = drains.emplace_back(ec);
+                    tileOutputPass(ec, dma, view.dstTileBegin(t),
                                    view.dstTileEnd(t));
-                    dma->start([&, ctl, t] {
-                        ctl->drainTrace.markEnd(ec.events.now());
-                        ctl->tileTraces.markReady(t, ec.events.now());
+                    dma.start([&, t] {
+                        drain_trace.markEnd(ec.events.now());
+                        tile_traces.markReady(t, ec.events.now());
                     });
-                    ctl->dmas.push_back(std::move(dma));
                 });
 
-                if (t + 1 < ctl->numTiles)
-                    ctl->startTile(t + 1);
+                if (t + 1 < tiles)
+                    start_tile(t + 1);
             });
         });
     };
-    const Cycle base = ec.layerBase;
-    ctl->startTile(0);
+    start_tile(0);
     ec.events.run();
-    const Cycle end = std::max(ec.events.now(), ctl->combFreeAt);
-    result.cycles = end - base;
-    result.schedule.aggregation = ctl->aggTrace.span(base);
-    result.schedule.combination = ctl->combTrace.span(base);
+    result.cycles = std::max(ec.events.now(), comb_free_at);
+    result.schedule.aggregation = agg_trace.span();
+    result.schedule.combination = comb_trace.span();
     // The drain owns the layer's tail: the last event in the queue
     // is its final write-back (or the combination engine freeing).
-    result.schedule.outputDrain =
-        ctl->drainTrace.span(base, result.cycles);
+    result.schedule.outputDrain = drain_trace.span(result.cycles);
     result.schedule.outputDrain.end = result.cycles;
     // Observed per-tile windows: consume = the tile's aggregation
     // sweep, ready = its output DMA draining (clamped monotone —
     // DMAs share the DRAM channels and may finish out of order).
     setRowProductTileSpans(result.schedule,
                            result.schedule.aggregation,
-                           ctl->tileTraces.consumeSpans(base),
-                           ctl->tileTraces.readyCycles(base));
+                           std::move(tile_traces.consume),
+                           std::move(tile_traces.ready));
     result.schedule.sequentialInput = false;
-    ctl->release();
 }
 
 } // namespace

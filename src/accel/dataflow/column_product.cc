@@ -1,10 +1,9 @@
 #include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "accel/timing/stream_dma.hh"
-#include "accel/timing/timing_psum.hh"
+#include "accel/timing/timing_sweep.hh"
 #include "sim/logging.hh"
 
 namespace sgcn
@@ -157,6 +156,62 @@ runFast(EngineContext &ec, LayerResult &result)
     synthesizeColumnProductSpans(result.schedule, strips);
 }
 
+/**
+ * The column product's pick policy for TimingSweep: one cursor that
+ * every engine shares, strip by strip (its pass is the strip), so an
+ * engine takes the next pick whichever engine's run it belongs to.
+ * Each pick read-modify-writes the destination's partial-sum strip
+ * through the accumulator banks; a run's first pick of every strip
+ * also fetches its topology.
+ */
+class ColumnProductPicks
+{
+  public:
+    explicit ColumnProductPicks(EngineContext &engine_ctx)
+        : ec(engine_ctx), stripWidth(engine_ctx.psumStripWidth()),
+          strips(engine_ctx.psumStrips())
+    {
+    }
+
+    void rewind() { at = SweepCursor{}; }
+
+    bool
+    next(unsigned, SweepItem &item)
+    {
+        const SweepPick pick = nextPick(ec, at, strips, kAnyEngine);
+        if (!pick.run)
+            return false;
+        const std::uint32_t begin_col = pick.pass * stripWidth;
+        const std::uint32_t end_col =
+            std::min(begin_col + stripWidth, ec.layer.outWidth);
+        AccessPlan strip;
+        strip.addBytes(AddressMap::kPsumBase +
+                           static_cast<Addr>(pick.vertex) *
+                               denseRowStride(ec.layer.outWidth) +
+                           static_cast<Addr>(begin_col) * kFeatureBytes,
+                       static_cast<std::uint64_t>(end_col - begin_col) *
+                           kFeatureBytes);
+        item.data = strip;
+        item.topology =
+            pick.first ? ec.topologyPlan(*pick.run) : AccessPlan{};
+        item.values = end_col - begin_col;
+        return true;
+    }
+
+    void
+    issue(const AccessPlan &data, MemCallback done)
+    {
+        ec.psumBuffer->accessBurstRmw(data, TrafficClass::PartialSum,
+                                      std::move(done));
+    }
+
+  private:
+    EngineContext &ec;
+    std::uint32_t stripWidth;
+    unsigned strips;
+    SweepCursor at;
+};
+
 void
 runTiming(EngineContext &ec, LayerResult &result)
 {
@@ -167,56 +222,52 @@ runTiming(EngineContext &ec, LayerResult &result)
     // column-product aggregation: AWB-GCN pipelines the two phases.
     // One X pass per partial-sum strip (see runFast).
     const unsigned strips = ec.psumStrips();
-    auto input_dma = std::make_shared<StreamDma>(ec, 128);
+    StreamDma input_dma(ec);
     for (unsigned strip = 0; strip < strips; ++strip) {
         for (VertexId v = 0; v < n; ++v) {
-            input_dma->addPlan(in.planRowRead(v), MemOp::Read,
-                               TrafficClass::FeatureIn);
+            input_dma.addPlan(in.planRowRead(v), MemOp::Read,
+                              TrafficClass::FeatureIn);
         }
     }
     const VertexId owned = ec.ownedEnd();
     if (ec.layer.residual && !ec.layer.isInputLayer) {
-        input_dma->addRegion(AddressMap::kResidualBase,
-                             static_cast<std::uint64_t>(owned) *
-                                 ec.denseRowLines(ec.layer.outWidth),
-                             MemOp::Read, TrafficClass::FeatureIn);
+        input_dma.addRegion(AddressMap::kResidualBase,
+                            static_cast<std::uint64_t>(owned) *
+                                ec.denseRowLines(ec.layer.outWidth),
+                            MemOp::Read, TrafficClass::FeatureIn);
     }
     const Cycle comb_compute =
         ec.combineRows(n, ec.cfg.zeroSkipCombination);
     result.combCycles += comb_compute;
 
-    auto psum = std::make_shared<TimingPsum>(ec);
-    auto out_dma = std::make_shared<StreamDma>(ec, 128);
-    const Cycle start = ec.layerBase;
-
+    TimingSweep<ColumnProductPicks> sweep(ec, ColumnProductPicks(ec));
+    ec.buildColumnProgram();
+    StreamDma out_dma(ec);
     bool agg_finished = false;
-    Cycle agg_end = start;
-    Cycle drain_start = start;
-    psum->start([&, out_dma, start] {
+    Cycle agg_end = 0;
+    sweep.start([&] {
         agg_finished = true;
-        result.aggCycles += ec.events.now() - start;
         agg_end = ec.events.now();
-        drain_start = ec.events.now();
+        result.aggCycles += agg_end;
         // Dirty partial sums flush as the S^{l+1} writeback, then
         // the activated X^{l+1} streams out.
         ec.psumBuffer->flush();
-        ec.writeOutputRows(*out_dma, 0, owned);
-        out_dma->start(nullptr);
+        ec.writeOutputRows(out_dma, 0, owned);
+        out_dma.start(nullptr);
     });
-    input_dma->start(nullptr);
+    input_dma.start(nullptr);
     ec.events.run();
     SGCN_ASSERT(agg_finished,
                 "column-product aggregation never drained");
-    const Cycle end = std::max(ec.events.now(), start + comb_compute);
-    result.cycles = end - start;
+    result.cycles = std::max(ec.events.now(), comb_compute);
 
     // The input stream feeds the zero-skipping GEMM from the layer
     // start; aggregation and the flush/write-out drain follow their
     // observed event times.
     result.schedule.inputDma = {0, comb_compute};
     result.schedule.combination = {0, comb_compute};
-    result.schedule.aggregation = {0, agg_end - start};
-    result.schedule.outputDrain = {drain_start - start, result.cycles};
+    result.schedule.aggregation = {0, agg_end};
+    result.schedule.outputDrain = {agg_end, result.cycles};
     synthesizeColumnProductSpans(result.schedule, strips);
 }
 

@@ -1,10 +1,12 @@
 #include "accel/dataflow/dataflows.hh"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 
 #include "accel/dataflow/row_product_common.hh"
 #include "accel/stream_artifacts.hh"
-#include "accel/timing/tile_control.hh"
+#include "accel/timing/stream_dma.hh"
 
 namespace sgcn
 {
@@ -132,85 +134,86 @@ runTiming(EngineContext &ec, LayerResult &result)
     const FeatureLayout &in = *ec.layer.inLayout;
 
     // Phase 1: streaming combination.
-    auto phase1 = std::make_shared<StreamDma>(ec, 128);
+    StreamDma phase1(ec);
     for (VertexId v = 0; v < n; ++v) {
-        phase1->addPlan(in.planRowRead(v), MemOp::Read,
-                        TrafficClass::FeatureIn);
+        phase1.addPlan(in.planRowRead(v), MemOp::Read,
+                       TrafficClass::FeatureIn);
     }
-    phase1->addRegion(AddressMap::kPsumBase,
-                      static_cast<std::uint64_t>(n) *
-                          ec.denseRowLines(ec.layer.outWidth),
-                      MemOp::Write, TrafficClass::PartialSum);
+    phase1.addRegion(AddressMap::kPsumBase,
+                     static_cast<std::uint64_t>(n) *
+                         ec.denseRowLines(ec.layer.outWidth),
+                     MemOp::Write, TrafficClass::PartialSum);
     const Cycle comb_compute = combinePhase1(ec);
 
-    // Phase 2 state, shared with the continuation callbacks.
+    // Phase 2: the aggregation sweep over X.W, tile by tile, each
+    // tile's output pass draining behind it.
     const auto xw = xwLayout(ec);
     const auto view = ec.sweepView(*xw, ec.layer.outWidth);
+    const unsigned tiles = view->numDstTiles();
+    Cycle comb_end = 0;
+    PhaseTrace agg_trace;
+    PhaseTrace drain_trace;
+    TileTraces tile_traces(tiles);
+    TimingSweep<RowProductPicks> sweep(
+        ec, RowProductPicks(ec, *xw, TrafficClass::FeatureIn));
+    std::deque<StreamDma> drains;
 
-    auto ctl = std::make_shared<TileControl>();
-    ctl->numTiles = view->numDstTiles();
-    ctl->tileTraces.resize(ctl->numTiles);
-
-    ctl->startTile = [&, ctl, view, xw](unsigned t) {
+    // The callbacks capture this frame's locals by reference: the
+    // events.run() below drains every event before it returns.
+    std::function<void(unsigned)> start_tile = [&](unsigned t) {
         const Cycle agg_start = ec.events.now();
-        ctl->aggTrace.markStart(agg_start);
-        ctl->agg = std::make_shared<TimingAgg>(
-            ec, *view, t, *xw, TrafficClass::FeatureIn);
-        ctl->agg->start([&, ctl, view, xw, t, agg_start] {
+        agg_trace.markStart(agg_start);
+        ec.buildTileProgram(*view, t);
+        sweep.start([&, t, agg_start] {
             result.aggCycles += ec.events.now() - agg_start;
-            ctl->aggTrace.markEnd(ec.events.now());
-            ctl->drainTrace.markStart(ec.events.now());
-            auto dma = std::make_shared<StreamDma>(ec, 128);
-            tileOutputPass(ec, *dma, view->dstTileBegin(t),
+            agg_trace.markEnd(ec.events.now());
+            drain_trace.markStart(ec.events.now());
+            StreamDma &dma = drains.emplace_back(ec);
+            tileOutputPass(ec, dma, view->dstTileBegin(t),
                            view->dstTileEnd(t));
-            dma->start([&, ctl, t] {
-                ctl->drainTrace.markEnd(ec.events.now());
-                ctl->tileTraces.markReady(t, ec.events.now());
+            dma.start([&, t] {
+                drain_trace.markEnd(ec.events.now());
+                tile_traces.markReady(t, ec.events.now());
             });
-            ctl->dmas.push_back(std::move(dma));
-            if (t + 1 < ctl->numTiles)
-                ctl->startTile(t + 1);
+            // The next tile restarts the sweep from inside its done
+            // callback, with no event hop: one would reorder
+            // same-cycle events.
+            if (t + 1 < tiles)
+                start_tile(t + 1);
         });
     };
 
-    const Cycle phase1_start = ec.layerBase;
-    phase1->start([&, ctl, phase1_start, comb_compute] {
-        const Cycle ready =
-            std::max(ec.events.now(), phase1_start + comb_compute);
-        result.combCycles += ready - phase1_start;
-        ctl->combTrace.markStart(phase1_start);
-        ctl->combTrace.markEnd(ready);
-        ec.events.schedule(ready, [&, ctl] {
+    phase1.start([&] {
+        comb_end = std::max(ec.events.now(), comb_compute);
+        result.combCycles += comb_end;
+        ec.events.schedule(comb_end, [&] {
             if (ec.cfg.davc)
                 ec.pinDavc(AddressMap::kPsumBase, ec.layer.outWidth);
-            ctl->startTile(0);
+            start_tile(0);
         });
     });
-    ctl->dmas.push_back(phase1);
     ec.events.run();
     ec.cache.unpinAll();
-    result.cycles = ec.events.now() - ec.layerBase;
-    result.schedule.combination = ctl->combTrace.span(ec.layerBase);
-    result.schedule.aggregation = ctl->aggTrace.span(ec.layerBase);
-    result.schedule.outputDrain =
-        ctl->drainTrace.span(ec.layerBase, result.cycles);
+    result.cycles = ec.events.now();
+    result.schedule.combination = {0, comb_end};
+    result.schedule.aggregation = agg_trace.span();
+    result.schedule.outputDrain = drain_trace.span(result.cycles);
     result.schedule.outputDrain.end = result.cycles;
     // Per-tile availability: input consumption is the phase-1 stream
     // (row order, subdivided row-proportionally across the observed
     // combination span); output readiness is each tile's observed
     // drain-DMA completion.
     std::vector<double> row_weights;
-    row_weights.reserve(ctl->numTiles);
-    for (unsigned t = 0; t < ctl->numTiles; ++t) {
+    row_weights.reserve(tiles);
+    for (unsigned t = 0; t < tiles; ++t) {
         row_weights.push_back(static_cast<double>(
             view->dstTileEnd(t) - view->dstTileBegin(t)));
     }
     setRowProductTileSpans(
         result.schedule, result.schedule.combination,
         subdividePhase(result.schedule.combination, row_weights),
-        ctl->tileTraces.readyCycles(ec.layerBase));
+        std::move(tile_traces.ready));
     result.schedule.sequentialInput = true;
-    ctl->release();
 }
 
 } // namespace

@@ -14,15 +14,16 @@
  * no default case, so a DataflowKind value without a case fails to
  * build (-Wswitch under -Wall, an error with -DSGCN_WERROR=ON).
  * Adding a fourth dataflow is one new .cc declaring its function
- * here, one DataflowKind value and one case.
+ * here, one DataflowKind value and one case; its timing path is one
+ * pick policy over the TimingSweep engine (timing/timing_sweep.hh).
  *
  * Every dataflow must fill result.schedule with the layer's phase
- * timeline (layer-local, cycle 0 = the layer start; timing paths
- * measure against ec.layerBase) and its per-tile spans, such that
- * schedule.criticalEnd() equals result.cycles: the network pipeline
- * chains these schedules across layers. LayerEngine then adds the
- * weight stream as the schedule's input-DMA prefix and computes the
- * mode-independent statistics.
+ * timeline (layer-local: cycle 0 is the layer's start, event time 0
+ * of its fresh EngineContext in timing mode) and its per-tile spans,
+ * such that schedule.criticalEnd() equals result.cycles: the network
+ * pipeline chains these schedules across layers. LayerEngine then
+ * adds the weight stream as the schedule's input-DMA prefix and
+ * computes the mode-independent statistics.
  */
 
 #ifndef SGCN_ACCEL_DATAFLOW_DATAFLOWS_HH

@@ -78,6 +78,40 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                              engine_cycles.end());
 }
 
+RowProductPicks::RowProductPicks(EngineContext &engine_ctx,
+                                 const FeatureLayout &feature_layout,
+                                 TrafficClass traffic_cls)
+    : ec(engine_ctx), layout(feature_layout), cls(traffic_cls)
+{
+}
+
+void
+RowProductPicks::rewind()
+{
+    cursors.assign(ec.cfg.aggEngines, SweepCursor{});
+}
+
+bool
+RowProductPicks::next(unsigned engine, SweepItem &item)
+{
+    const SweepPick pick =
+        nextPick(ec, cursors[engine], layout.numSlices(), engine);
+    if (!pick.run)
+        return false;
+    item.data = layout.planSliceRead(pick.vertex, pick.pass);
+    item.topology = pick.first && pick.pass == 0
+                        ? ec.topologyPlan(*pick.run)
+                        : AccessPlan{};
+    item.values = layout.sliceValues(pick.vertex, pick.pass);
+    return true;
+}
+
+void
+RowProductPicks::issue(const AccessPlan &data, MemCallback done)
+{
+    ec.cache.accessBurst(data, MemOp::Read, cls, std::move(done));
+}
+
 void
 setRowProductTileSpans(LayerSchedule &schedule,
                        PhaseSpan consume_phase,

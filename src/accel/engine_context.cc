@@ -243,37 +243,6 @@ EngineContext::buildColumnProgram()
     sweepSrcBegin.push_back(sweepEntries.size());
 }
 
-EngineContext::SweepPick
-EngineContext::nextPick(SweepCursor &at, unsigned passes,
-                        unsigned engine) const
-{
-    while (at.srcTile + 1 < sweepSrcBegin.size()) {
-        if (at.entry == sweepSrcBegin[at.srcTile + 1]) {
-            // Pass over: replay the source tile's runs for the next
-            // one, or move on to the next source tile.
-            if (++at.pass == passes) {
-                at.pass = 0;
-                ++at.srcTile;
-            }
-            at.entry = sweepSrcBegin[at.srcTile];
-            continue;
-        }
-        const SweepEntry &run = sweepEntries[at.entry];
-        if (engine != kAnyEngine && run.engine != engine) {
-            ++at.entry;
-            continue;
-        }
-        const SweepPick pick{&run, sweepPicks[run.pickBegin + at.pick],
-                             at.pass, at.pick == 0};
-        if (++at.pick == run.walk) {
-            at.pick = 0;
-            ++at.entry;
-        }
-        return pick;
-    }
-    return {};
-}
-
 EngineContext::TilePhase
 EngineContext::sumTilePhases(const std::vector<TilePhase> &tiles)
 {

@@ -8,13 +8,16 @@
  * roofline, snapshot and stream helpers both execution modes share,
  * and the sweep program: the neighbour runs and sampled picks of one
  * aggregation sweep, built once and consumed by both clocks (the
- * fast replay through the functional cache, the timing engines
- * through the event kernel).
+ * fast replay through the functional cache, the timing engine
+ * through the event kernel, its pick policies walking the program
+ * with their own cursors).
  * It is the documented interface between the dataflows
  * (src/accel/dataflow/dataflows.hh) and the timing engines
  * (src/accel/timing/), which call its Dram and Cache directly: all
  * members are public, so no component needs friend access into the
- * layer engine.
+ * layer engine. Each layer runs on a fresh context whose event
+ * clock starts at cycle 0, so timing paths read event times as
+ * layer-local cycles.
  */
 
 #ifndef SGCN_ACCEL_ENGINE_CONTEXT_HH
@@ -179,15 +182,6 @@ struct EngineContext
      *  before dispatching to the dataflow. */
     ExecutionMode mode = ExecutionMode::Fast;
 
-    /** Event-queue time at which the current layer run began; set by
-     *  the layer engine before dispatching to the dataflow. Timing
-     *  paths measure every phase from this base, not from cycle 0 or
-     *  from events.now() at some engine's construction, because
-     *  layers share one timeline: the schedule a dataflow reports is
-     *  layer-local, and the network pipeline chains it after the
-     *  previous layer's. */
-    Cycle layerBase = 0;
-
     EventQueue events;
     Dram dram;
     /** The shared global cache in front of dram. */
@@ -243,36 +237,6 @@ struct EngineContext
                           layer.edgeBytes);
         return plan;
     }
-
-    /** A timing engine's place in the program: source tile, pass
-     *  (feature slice or partial-sum strip), run, pick. */
-    struct SweepCursor
-    {
-        unsigned srcTile = 0;
-        unsigned pass = 0;
-        std::size_t entry = 0;
-        std::uint32_t pick = 0;
-    };
-
-    /** One pick as a timing engine issues it; run is null once the
-     *  program is done. */
-    struct SweepPick
-    {
-        const SweepEntry *run = nullptr;
-        VertexId vertex = 0;
-        unsigned pass = 0;
-        /** The run's first pick in this pass. */
-        bool first = false;
-    };
-
-    /** nextPick's engine for a cursor every engine shares. */
-    static constexpr unsigned kAnyEngine = ~0u;
-
-    /** The pick at @p at, advancing @p at past it. Each source
-     *  tile's runs are replayed for @p passes passes; only
-     *  @p engine's runs are visited (every run for kAnyEngine). */
-    SweepPick nextPick(SweepCursor &at, unsigned passes,
-                       unsigned engine) const;
 
     /** The program, rebuilt in place for every tile so the warm
      *  sweep stays allocation-free. sweepSrcBegin holds the first

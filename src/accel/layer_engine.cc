@@ -36,9 +36,12 @@ LayerEngine::effectiveDataflow() const
 LayerResult
 LayerEngine::run(ExecutionMode mode)
 {
+    // finalize reads the context's cumulative counters, so a second
+    // run would count the first run's traffic and MACs again.
+    SGCN_ASSERT(!ran, "a LayerEngine runs its layer once");
+    ran = true;
     LayerResult result;
     ec.mode = mode;
-    ec.layerBase = ec.events.now();
     switch (effectiveDataflow()) {
       case DataflowKind::AggFirstRowProduct:
         runAggFirst(ec, result);

@@ -12,10 +12,11 @@
  *    from a phase-level roofline over engine compute, DRAM
  *    bandwidth, and cache throughput, with tile-level pipelining
  *    between aggregation and combination.
- *  - Timing: event-driven engine models issue the program, each
- *    running ahead within its bounded outstanding-request window,
- *    through the timing cache and the banked HBM model; cycles are
- *    event time.
+ *  - Timing: one event-driven engine (TimingSweep) issues the
+ *    program through the dataflow's pick policy, each aggregation
+ *    engine running ahead within its bounded outstanding-request
+ *    window, through the timing cache and the banked HBM model;
+ *    cycles are event time on the layer's fresh event clock.
  *
  * Two known differences remain: timing-mode aggregation-first does
  * not pin EnGN's degree-aware vertex cache rows (ROADMAP item 3),
@@ -39,14 +40,16 @@
 namespace sgcn
 {
 
-/** Executes one layer; construct fresh per (config, layer). */
+/** Executes one layer once: the context's counters are cumulative,
+ *  so construct a fresh engine per (config, layer) run. */
 class LayerEngine
 {
   public:
     LayerEngine(const AccelConfig &config, const LayerContext &ctx);
     ~LayerEngine();
 
-    /** Run the layer and return its results. */
+    /** Run the layer and return its results. Panics when called a
+     *  second time. */
     LayerResult run(ExecutionMode mode);
 
     /** Dataflow a personality executes for a layer: the configured
@@ -64,6 +67,7 @@ class LayerEngine
     void finalize(LayerResult &result);
 
     EngineContext ec;
+    bool ran = false;
 };
 
 } // namespace sgcn

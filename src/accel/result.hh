@@ -117,11 +117,12 @@ layerPhaseName(LayerPhase phase)
  *
  * Every dataflow strategy reports when its input DMA, aggregation,
  * combination, and output drain ran on a layer-local timeline
- * (cycle 0 = the layer's start, i.e. EngineContext::layerBase in
- * timing mode). Phases may overlap each other — the row-product
- * tile pipeline runs aggregation and combination concurrently — but
- * the latest end always equals LayerResult::cycles, so the serial
- * totals and the schedule cannot drift apart.
+ * (cycle 0 = the layer's start: event time 0 of the layer's fresh
+ * EngineContext in timing mode). Phases may overlap each other —
+ * the row-product tile pipeline runs aggregation and combination
+ * concurrently — but the latest end always equals
+ * LayerResult::cycles, so the serial totals and the schedule cannot
+ * drift apart.
  *
  * The network pipeline (src/accel/pipeline/) chains these schedules
  * across layers: the input-DMA prefix (weight prefetch before the

@@ -5,10 +5,7 @@
 namespace sgcn
 {
 
-StreamDma::StreamDma(EngineContext &engine_ctx, unsigned window)
-    : ec(engine_ctx), window(window)
-{
-}
+StreamDma::StreamDma(EngineContext &engine_ctx) : ec(engine_ctx) {}
 
 void
 StreamDma::addPlan(const AccessPlan &plan, MemOp op, TrafficClass cls)
@@ -36,7 +33,7 @@ StreamDma::start(std::function<void()> on_done)
 void
 StreamDma::issue()
 {
-    while (outstanding < window && !runs.empty()) {
+    while (outstanding < kWindow && !runs.empty()) {
         // Issue the whole window headroom of the front run as one
         // bulk access (per-line completions keep the window exact).
         // Line order and scheduler kicks match the old line-at-a-time
@@ -44,7 +41,7 @@ StreamDma::issue()
         // completion, exactly as before.
         const Run run = runs.front();
         const auto chunk = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(window - outstanding,
+            std::min<std::uint64_t>(kWindow - outstanding,
                                     run.lines - cursor));
         const Addr first = run.addr + cursor * kCachelineBytes;
         outstanding += chunk;

@@ -23,9 +23,15 @@ namespace sgcn
 class StreamDma
 {
   public:
-    /** @param ec shared per-layer state (DRAM, event queue)
-     *  @param window maximum outstanding line requests */
-    StreamDma(EngineContext &ec, unsigned window);
+    /** Maximum outstanding line requests of a stream. */
+    static constexpr unsigned kWindow = 128;
+
+    /** @param ec shared per-layer state (DRAM, event queue) */
+    explicit StreamDma(EngineContext &ec);
+
+    /** Pending callbacks hold this stream's address. */
+    StreamDma(const StreamDma &) = delete;
+    StreamDma &operator=(const StreamDma &) = delete;
 
     /** Queue every run of @p plan. */
     void addPlan(const AccessPlan &plan, MemOp op, TrafficClass cls);
@@ -49,7 +55,6 @@ class StreamDma
     void issue();
 
     EngineContext &ec;
-    unsigned window;
     std::deque<Run> runs;
     std::uint64_t cursor = 0;
     unsigned outstanding = 0;

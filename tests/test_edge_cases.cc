@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/layer_engine.hh"
 #include "core/beicsr.hh"
 #include "core/compressor.hh"
 #include "formats/dense.hh"
@@ -16,6 +17,7 @@
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "fixtures.hh"
 
 namespace sgcn
 {
@@ -234,6 +236,26 @@ TEST(EdgeCasesDeath, UnpreparedLayoutPanics)
 TEST(EdgeCasesDeath, GeomeanRejectsNonPositive)
 {
     EXPECT_DEATH(geomean({1.0, 0.0}), "positive");
+}
+
+TEST(EdgeCasesDeath, SecondLayerRunPanics)
+{
+    // A second run would count the first run's traffic and MACs
+    // again. Fast mode executes no events, so its clock cannot tell.
+    const Dataset cora = testfx::cora();
+    const AccelConfig config = makeSgcn();
+    const LayerContext ctx = makeIntermediateLayer(
+        cora, cora.graph, config, NetworkSpec{}, 1);
+    for (const ExecutionMode mode :
+         {ExecutionMode::Fast, ExecutionMode::Timing}) {
+        EXPECT_DEATH(
+            {
+                LayerEngine engine(config, ctx);
+                engine.run(mode);
+                engine.run(mode);
+            },
+            "runs its layer once");
+    }
 }
 
 } // namespace
