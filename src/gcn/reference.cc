@@ -1,12 +1,24 @@
 #include "gcn/reference.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace sgcn
 {
+
+float
+gcnEdgeWeight(const CsrGraph &graph, VertexId v, VertexId u)
+{
+    // D^-1/2 factor of one endpoint.
+    const auto factor = [&graph](VertexId x) {
+        const double deg = static_cast<double>(graph.degree(x));
+        return deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
+    };
+    return static_cast<float>(factor(v) * factor(u));
+}
 
 DenseMatrix
 aggregate(const CsrGraph &graph, const DenseMatrix &x, AggKind kind,
@@ -19,13 +31,12 @@ aggregate(const CsrGraph &graph, const DenseMatrix &x, AggKind kind,
     for (VertexId v = 0; v < graph.numVertices(); ++v) {
         float *out = result.row(v);
         const auto nbrs = graph.neighbors(v);
-        const auto wts = graph.weights(v);
 
         switch (kind) {
           case AggKind::Gcn:
-            for (std::size_t e = 0; e < nbrs.size(); ++e) {
-                const float *src = x.row(nbrs[e]);
-                const float w = wts[e];
+            for (VertexId u : nbrs) {
+                const float *src = x.row(u);
+                const float w = gcnEdgeWeight(graph, v, u);
                 for (std::uint32_t c = 0; c < cols; ++c)
                     out[c] += w * src[c];
             }

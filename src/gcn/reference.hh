@@ -4,7 +4,9 @@
  *
  * Used to validate the formats (encode/decode round trips) and the
  * SGCN functional pipeline (sparse aggregator + compressor) on small
- * graphs. Not a performance model.
+ * graphs. Not a performance model. Graphs hold topology only, so this
+ * is also the one module that computes GCN's edge normalization
+ * (gcnEdgeWeight).
  */
 
 #ifndef SGCN_GCN_REFERENCE_HH
@@ -17,6 +19,14 @@
 
 namespace sgcn
 {
+
+/**
+ * GCN's symmetric normalization of edge (v, u), the entry of
+ * D^-1/2 (A + I) D^-1/2: (1/sqrt(deg v)) * (1/sqrt(deg u)), formed in
+ * double and rounded once to float. Degrees are @p graph's own and
+ * count self loops; a vertex of degree 0 contributes a factor of 0.
+ */
+float gcnEdgeWeight(const CsrGraph &graph, VertexId v, VertexId u);
 
 /**
  * Aggregation phase: Y = A-tilde . X for GCN, or the GIN/SAGE

@@ -145,7 +145,6 @@ CsrBuilder::finalizeInto(CsrGraph &graph)
 
     graph.n = n;
     graph.selfLoops = selfLoops ? n : 0;
-    graph.computeNormalization(threads);
     graph.computeFingerprint();
 }
 

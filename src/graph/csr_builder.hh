@@ -109,7 +109,7 @@ class CsrBuilder
   private:
     friend class CsrGraph;
 
-    /** Per-row sort+dedup, final prefix sum, pack, normalization;
+    /** Per-row sort+dedup, final prefix sum, pack, fingerprint;
      *  called by the CsrGraph builder-move constructor. */
     void finalizeInto(CsrGraph &graph);
 

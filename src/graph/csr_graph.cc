@@ -1,7 +1,6 @@
 #include "graph/csr_graph.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "graph/csr_builder.hh"
 #include "sim/logging.hh"
@@ -62,32 +61,6 @@ CsrGraph::computeFingerprint()
     fpHi = fnv1a(fpHi, rowPtr.data(), rowPtr.size());
 }
 
-void
-CsrGraph::computeNormalization(unsigned jobs)
-{
-    // Symmetric normalization with self loops:
-    // w(u, v) = 1 / sqrt(deg(u) * deg(v)) where deg counts the self
-    // loop, matching GCN's D^-1/2 (A + I) D^-1/2. Only the
-    // per-vertex 1/sqrt(deg) factors are stored; weights(v) forms
-    // the products on access.
-    invSqrtDeg.resize(n);
-    const unsigned threads = n >= (1u << 20)
-                                 ? ThreadPool::resolveJobs(jobs)
-                                 : 1;
-    const VertexId block =
-        static_cast<VertexId>(divCeil(n, threads));
-    parallelFor(threads, threads, [&](std::size_t b) {
-        const auto begin = static_cast<VertexId>(b * block);
-        const auto end = static_cast<VertexId>(
-            std::min<std::uint64_t>(begin + block, n));
-        for (VertexId v = begin; v < end; ++v) {
-            const double deg =
-                static_cast<double>(rowPtr[v + 1] - rowPtr[v]);
-            invSqrtDeg[v] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
-        }
-    });
-}
-
 CsrGraph::CsrGraph(VertexId num_vertices, std::vector<EdgePair> edges,
                    bool undirected, bool self_loops)
 {
@@ -105,15 +78,14 @@ CsrGraph
 CsrGraph::fromCsrArrays(VertexId num_vertices,
                         std::vector<EdgeId> row_ptr,
                         std::vector<VertexId> col_idx,
-                        std::vector<float> weights, EdgeId self_loops)
+                        EdgeId self_loops)
 {
     SGCN_ASSERT(num_vertices > 0, "graph needs at least one vertex");
     SGCN_ASSERT(row_ptr.size() ==
                     static_cast<std::size_t>(num_vertices) + 1,
                 "row pointer array size mismatch");
     SGCN_ASSERT(row_ptr.front() == 0 &&
-                    row_ptr.back() == col_idx.size() &&
-                    col_idx.size() == weights.size(),
+                    row_ptr.back() == col_idx.size(),
                 "CSR array sizes inconsistent");
     CsrGraph graph;
     graph.n = num_vertices;
@@ -123,7 +95,6 @@ CsrGraph::fromCsrArrays(VertexId num_vertices,
         col_idx.size(), PackedIndexArray::widthFor(num_vertices));
     for (std::size_t i = 0; i < col_idx.size(); ++i)
         graph.colIdx.set(i, col_idx[i]);
-    graph.edgeWeight = std::move(weights);
     for (VertexId v = 0; v < graph.n; ++v) {
         SGCN_ASSERT(graph.rowPtr[v] <= graph.rowPtr[v + 1],
                     "row pointers must be monotone");

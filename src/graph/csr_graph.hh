@@ -2,29 +2,24 @@
  * @file
  * Compressed-sparse-row graph topology.
  *
- * The adjacency matrix A-tilde of Eq. (1)/(2) is stored in CSR with
- * per-edge weights holding the symmetric normalization
- * 1/sqrt((d_u+1)(d_v+1)) including self loops, exactly the form the
- * accelerators consume (SIII-B: "the topology matrix is assumed to be
- * in a CSR format").
+ * The adjacency matrix A-tilde of Eq. (1)/(2) is stored in CSR, the
+ * form the accelerators consume (SIII-B: "the topology matrix is
+ * assumed to be in a CSR format"). A graph holds topology only: the
+ * simulator prices each edge as NetworkSpec::edgeBytes of topology
+ * traffic without reading a weight value, and GCN's symmetric
+ * normalization is derived from the degrees by the functional
+ * reference (gcnEdgeWeight, gcn/reference.hh), the one module that
+ * computes with it.
  *
  * Column indices are byte-width packed (PackedIndexArray: 1/2/3/4
- * bytes per index picked from numVertices), and normalization
- * weights are derived on access from a per-vertex 1/sqrt(deg) table
- * instead of being materialized per edge — together ~3.5 bytes per
- * directed edge at 10^6 vertices versus 12 before. Graphs built
- * through fromCsrArrays (chip shards, whose weights come verbatim
- * from a parent normalization) keep an explicit per-edge weight
- * array. Both representations serve the same neighbors()/weights()
- * range API, bit-identical to the old span-of-materialized-floats
- * one.
+ * bytes per index picked from numVertices): 3 bytes per directed
+ * edge at 10^6 vertices, versus 4 for uint32 indices.
  */
 
 #ifndef SGCN_GRAPH_CSR_GRAPH_HH
 #define SGCN_GRAPH_CSR_GRAPH_HH
 
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -39,104 +34,7 @@ class CsrBuilder;
 /** An undirected edge used during graph construction. */
 using EdgePair = std::pair<VertexId, VertexId>;
 
-/**
- * The normalized weights of one vertex's edge run. Values are either
- * read from an explicit per-edge array or derived on access as
- * float(invSqrtDeg[v] * invSqrtDeg[u]) — the exact expression the
- * old constructor materialized, so the floats are bit-identical.
- * Copyable value type, valid for the owning graph's lifetime.
- */
-class EdgeWeightRange
-{
-  public:
-    EdgeWeightRange() = default;
-
-    /** Explicit per-edge weights. */
-    explicit EdgeWeightRange(const float *weights, std::size_t count)
-        : explicitW(weights), count_(count)
-    {
-    }
-
-    /** Derived from the per-vertex normalization table. */
-    EdgeWeightRange(double inv_sqrt_deg_v, const double *inv_sqrt_deg,
-                    PackedIndexRange cols)
-        : invV(inv_sqrt_deg_v), inv(inv_sqrt_deg), cols(cols),
-          count_(cols.size())
-    {
-    }
-
-    std::size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-
-    float
-    operator[](std::size_t i) const
-    {
-        if (explicitW)
-            return explicitW[i];
-        return static_cast<float>(invV * inv[cols[i]]);
-    }
-
-    /** Sub-run [first, first + count). */
-    EdgeWeightRange
-    subrange(std::size_t first, std::size_t count) const
-    {
-        if (explicitW)
-            return EdgeWeightRange(explicitW + first, count);
-        return EdgeWeightRange(invV, inv,
-                               cols.subrange(first, count));
-    }
-
-    class Iterator
-    {
-      public:
-        using iterator_category = std::forward_iterator_tag;
-        using value_type = float;
-        using difference_type = std::ptrdiff_t;
-        using pointer = const float *;
-        using reference = float;
-
-        Iterator() = default;
-        Iterator(const EdgeWeightRange *r, std::size_t i) : r(r), i(i)
-        {
-        }
-
-        float operator*() const { return (*r)[i]; }
-        Iterator &
-        operator++()
-        {
-            ++i;
-            return *this;
-        }
-        Iterator
-        operator++(int)
-        {
-            Iterator tmp = *this;
-            ++i;
-            return tmp;
-        }
-        friend bool
-        operator==(const Iterator &a, const Iterator &b)
-        {
-            return a.i == b.i;
-        }
-
-      private:
-        const EdgeWeightRange *r = nullptr;
-        std::size_t i = 0;
-    };
-
-    Iterator begin() const { return {this, 0}; }
-    Iterator end() const { return {this, count_}; }
-
-  private:
-    const float *explicitW = nullptr;
-    double invV = 0.0;
-    const double *inv = nullptr;
-    PackedIndexRange cols;
-    std::size_t count_ = 0;
-};
-
-/** Immutable CSR graph with normalized edge weights. */
+/** Immutable CSR graph topology. */
 class CsrGraph
 {
   public:
@@ -166,11 +64,9 @@ class CsrGraph
     explicit CsrGraph(CsrBuilder &&builder);
 
     /**
-     * Build directly from CSR arrays, preserving the given edge
-     * weights instead of recomputing the normalization. Chip
-     * subgraphs use this: their rows are verbatim slices of a parent
-     * graph whose weights were normalized against the *parent*
-     * degrees, which a subgraph rebuild could not reproduce.
+     * Build directly from CSR arrays whose rows are already sorted
+     * and deduplicated. Chip shards and serve batches use this: their
+     * rows are remapped slices of a parent graph.
      *
      * @param self_loops number of (v, v) entries present in
      *        @p col_idx, for numEdgesNoSelfLoops() accounting.
@@ -178,7 +74,6 @@ class CsrGraph
     static CsrGraph fromCsrArrays(VertexId num_vertices,
                                   std::vector<EdgeId> row_ptr,
                                   std::vector<VertexId> col_idx,
-                                  std::vector<float> weights,
                                   EdgeId self_loops);
 
     /** Number of vertices. */
@@ -204,19 +99,6 @@ class CsrGraph
         return colIdx.range(rowPtr[v],
                             static_cast<std::size_t>(rowPtr[v + 1] -
                                                      rowPtr[v]));
-    }
-
-    /** Normalized weights parallel to neighbors(). */
-    EdgeWeightRange
-    weights(VertexId v) const
-    {
-        if (!edgeWeight.empty()) {
-            return EdgeWeightRange(
-                edgeWeight.data() + rowPtr[v],
-                static_cast<std::size_t>(rowPtr[v + 1] - rowPtr[v]));
-        }
-        return EdgeWeightRange(invSqrtDeg[v], invSqrtDeg.data(),
-                               neighbors(v));
     }
 
     /** Raw row-pointer array (size numVertices()+1). */
@@ -253,9 +135,8 @@ class CsrGraph
      * computed once at construction. The column indices are hashed
      * as decoded uint32 values, so the fingerprint is independent of
      * the packed byte width (and unchanged from the unpacked-storage
-     * era). The edge weights are a pure function of the topology, so
-     * this identifies the graph completely; process-wide caches key
-     * on it.
+     * era). It identifies the graph completely; process-wide caches
+     * key on it.
      */
     std::pair<std::uint64_t, std::uint64_t>
     contentFingerprint() const
@@ -267,22 +148,18 @@ class CsrGraph
     std::uint64_t
     footprintBytes() const
     {
-        return rowPtr.size() * sizeof(EdgeId) + colIdx.byteSize() +
-               edgeWeight.size() * sizeof(float) +
-               invSqrtDeg.size() * sizeof(double);
+        return rowPtr.size() * sizeof(EdgeId) + colIdx.byteSize();
     }
 
-    /** Adjacency bytes (packed indices + weight storage) per
-     *  directed edge — the scale metric the million-node substrate
-     *  targets (<= ~6 B/edge at 10^6 vertices). */
+    /** Packed-index bytes per directed edge — the scale metric the
+     *  million-node substrate targets (<= ~6 B/edge at 10^6
+     *  vertices). */
     double
     adjacencyBytesPerEdge() const
     {
         if (numEdges() == 0)
             return 0.0;
-        return static_cast<double>(colIdx.byteSize() +
-                                   edgeWeight.size() * sizeof(float) +
-                                   invSqrtDeg.size() * sizeof(double)) /
+        return static_cast<double>(colIdx.byteSize()) /
                static_cast<double>(numEdges());
     }
 
@@ -291,20 +168,10 @@ class CsrGraph
 
     void computeFingerprint();
 
-    /** Fill invSqrtDeg from the final row pointers. */
-    void computeNormalization(unsigned jobs);
-
     VertexId n = 0;
     EdgeId selfLoops = 0;
     std::vector<EdgeId> rowPtr{0};
     PackedIndexArray colIdx;
-
-    /** Explicit per-edge weights (fromCsrArrays graphs only). */
-    std::vector<float> edgeWeight;
-
-    /** Per-vertex 1/sqrt(deg) (builder-made graphs; weights derive
-     *  on access). */
-    std::vector<double> invSqrtDeg;
 
     std::uint64_t fpLo = 0;
     std::uint64_t fpHi = 0;

@@ -48,6 +48,10 @@ loadEdgeList(const std::string &path, VertexId num_vertices,
         max_id = std::max(max_id, static_cast<VertexId>(src));
         max_id = std::max(max_id, static_cast<VertexId>(dst));
     }
+    if (edges.empty() && num_vertices == 0) {
+        return makeError(ErrorCode::CorruptData, "edge list ", path,
+                         " has no edges and declares no vertex count");
+    }
     const VertexId n =
         num_vertices != 0 ? num_vertices : max_id + 1;
     if (num_vertices != 0 && max_id >= num_vertices) {

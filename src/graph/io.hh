@@ -30,7 +30,9 @@ namespace sgcn
  * Lines: "src dst" (whitespace separated). Lines starting with '#'
  * or '%' are comments. Vertex ids are zero-based and below 2^32 - 1
  * (a negative or larger id is CorruptData naming path:line); the
- * vertex count is max id + 1 unless @p num_vertices overrides it.
+ * vertex count is max id + 1 unless @p num_vertices overrides it. A
+ * file with no edge line is CorruptData unless @p num_vertices
+ * declares a count, which then loads as that many isolated vertices.
  */
 Expected<CsrGraph> loadEdgeList(const std::string &path,
                                 VertexId num_vertices = 0,

@@ -184,13 +184,6 @@ class PackedIndexRange
         return {base + n * w, w};
     }
 
-    /** Sub-range [first, first + count). */
-    PackedIndexRange
-    subrange(std::size_t first, std::size_t count) const
-    {
-        return {base + first * w, w, count};
-    }
-
   private:
     const std::uint8_t *base = nullptr;
     unsigned w = 4;

@@ -97,17 +97,6 @@ TiledGraphView::tileNeighbors(VertexId v, unsigned c) const
         begin, static_cast<std::size_t>(end - begin));
 }
 
-EdgeWeightRange
-TiledGraphView::tileWeights(VertexId v, unsigned c) const
-{
-    const EdgeId begin = edgeBegin(v, c);
-    const EdgeId end = edgeBegin(v, c + 1);
-    const EdgeId base = topo.rowPointers()[v];
-    return topo.weights(v).subrange(
-        static_cast<std::size_t>(begin - base),
-        static_cast<std::size_t>(end - begin));
-}
-
 VertexId
 chooseSrcTileSpan(std::uint64_t cache_bytes,
                   double expected_bytes_per_vertex,
@@ -226,25 +215,19 @@ GraphPartition::GraphPartition(const CsrGraph &parent, unsigned chips,
             shard.halo.end());
 
         // Renumbered subgraph: owned rows carry the parent's edges
-        // (columns remapped, weights copied verbatim), halo rows are
-        // empty aggregation sources.
+        // (columns remapped), halo rows are empty aggregation
+        // sources.
         const auto rows =
             static_cast<std::size_t>(owned) + shard.halo.size();
         std::vector<EdgeId> row_ptr(rows + 1, 0);
         std::vector<VertexId> col_idx;
-        std::vector<float> weights;
         EdgeId self_loops = 0;
-        const EdgeId edges = parent.rowPointers()[shard.end] -
-                             parent.rowPointers()[shard.begin];
-        col_idx.reserve(edges);
-        weights.reserve(edges);
+        col_idx.reserve(parent.rowPointers()[shard.end] -
+                        parent.rowPointers()[shard.begin]);
         for (VertexId v = shard.begin; v < shard.end; ++v) {
-            const auto nbrs = parent.neighbors(v);
-            const auto wts = parent.weights(v);
-            for (std::size_t e = 0; e < nbrs.size(); ++e) {
-                col_idx.push_back(shard.chipRowOf(nbrs[e]));
-                weights.push_back(wts[e]);
-                if (nbrs[e] == v)
+            for (VertexId u : parent.neighbors(v)) {
+                col_idx.push_back(shard.chipRowOf(u));
+                if (u == v)
                     ++self_loops;
             }
             row_ptr[v - shard.begin + 1] = col_idx.size();
@@ -255,8 +238,7 @@ GraphPartition::GraphPartition(const CsrGraph &parent, unsigned chips,
         shard.graph = std::make_shared<const CsrGraph>(
             CsrGraph::fromCsrArrays(static_cast<VertexId>(rows),
                                     std::move(row_ptr),
-                                    std::move(col_idx),
-                                    std::move(weights), self_loops));
+                                    std::move(col_idx), self_loops));
         chipShards.push_back(std::move(shard));
     }
 }

@@ -56,9 +56,6 @@ class TiledGraphView
     CsrGraph::NeighborRange tileNeighbors(VertexId v,
                                           unsigned c) const;
 
-    /** Weights parallel to tileNeighbors(). */
-    EdgeWeightRange tileWeights(VertexId v, unsigned c) const;
-
     /**
      * CSR edge index where tile @p c starts for vertex @p v. Served
      * from the precomputed per-vertex offset table when it fits the
@@ -155,9 +152,9 @@ tryPartitionPolicyByName(const std::string &name);
  * [0, ownedRows()) in parent order, and the halo sources occupy
  * [ownedRows(), ownedRows() + haloRows()) in ascending parent order
  * as *empty* rows (they are aggregation sources only — the chip
- * receives their features but never aggregates into them). Edge
- * weights are copied verbatim from the parent so the chip sees the
- * exact global normalization.
+ * receives their features but never aggregates into them). An owned
+ * row keeps its parent row's edges, self loop included, with the
+ * columns remapped to chip rows.
  */
 struct ChipShard
 {

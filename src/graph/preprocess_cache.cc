@@ -1,26 +1,9 @@
 #include "graph/preprocess_cache.hh"
 
 #include "graph/reorder.hh"
-#include "sim/logging.hh"
 
 namespace sgcn
 {
-
-namespace
-{
-
-std::shared_ptr<const CsrGraph>
-computeReorder(const CsrGraph &graph, ReorderKind kind)
-{
-    switch (kind) {
-      case ReorderKind::BfsIslands:
-        return std::make_shared<const CsrGraph>(
-            graph.permuted(bfsIslandOrder(graph, 0), 0));
-    }
-    panic("unknown ReorderKind ", static_cast<int>(kind));
-}
-
-} // namespace
 
 PreprocessCache &
 PreprocessCache::instance()
@@ -30,12 +13,14 @@ PreprocessCache::instance()
 }
 
 std::shared_ptr<const CsrGraph>
-PreprocessCache::reordered(const CsrGraph &graph, ReorderKind kind)
+PreprocessCache::islandized(const CsrGraph &graph)
 {
-    const auto [lo, hi] = graph.contentFingerprint();
-    const Key key{lo, hi, static_cast<std::uint8_t>(kind)};
     return cache.lookup(
-        key, [&] { return computeReorder(graph, kind); },
+        graph.contentFingerprint(),
+        [&] {
+            return std::make_shared<const CsrGraph>(
+                graph.permuted(bfsIslandOrder(graph, 0), 0));
+        },
         [](const CsrGraph &reordered) {
             return reordered.footprintBytes();
         });

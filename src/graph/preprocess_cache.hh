@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide memo of preprocessed (reordered) graph topologies.
+ * Process-wide memo of islandized graph topologies.
  *
  * Sweeps call runNetwork once per (personality, dataset) pair, and
  * every I-GCN-style personality re-derives bfsIslandOrder and
@@ -21,7 +21,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <tuple>
+#include <utility>
 
 #include "graph/csr_graph.hh"
 #include "sim/keyed_cache.hh"
@@ -29,15 +29,7 @@
 namespace sgcn
 {
 
-/** Reorder schemes the cache can memoize (keyed alongside the
- *  topology fingerprint). */
-enum class ReorderKind : std::uint8_t
-{
-    /** I-GCN islandization: permute by bfsIslandOrder. */
-    BfsIslands,
-};
-
-/** Memo of reordered graphs; see file comment. */
+/** Memo of islandized graphs; see file comment. */
 class PreprocessCache
 {
   public:
@@ -49,19 +41,12 @@ class PreprocessCache
     static PreprocessCache &instance();
 
     /**
-     * The @p kind-reordered version of @p graph, computed on first
-     * use and shared afterwards. Bit-identical to computing the
-     * reorder inline (the permutation is deterministic).
+     * @p graph permuted by bfsIslandOrder (I-GCN islandization),
+     * computed on first use and shared afterwards. Bit-identical to
+     * computing the reorder inline (the permutation is
+     * deterministic).
      */
-    std::shared_ptr<const CsrGraph> reordered(const CsrGraph &graph,
-                                              ReorderKind kind);
-
-    /** Shorthand for reordered(graph, ReorderKind::BfsIslands). */
-    std::shared_ptr<const CsrGraph>
-    islandized(const CsrGraph &graph)
-    {
-        return reordered(graph, ReorderKind::BfsIslands);
-    }
+    std::shared_ptr<const CsrGraph> islandized(const CsrGraph &graph);
 
     /** Counters plus entry count and byte-accounted footprint. */
     Stats stats() const { return cache.stats(); }
@@ -73,9 +58,9 @@ class PreprocessCache
     void clear() { cache.clear(); }
 
   private:
-    /** 128-bit content fingerprint + kind; collision-safe in any
-     *  realistic sweep. */
-    using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint8_t>;
+    /** 128-bit content fingerprint; collision-safe in any realistic
+     *  sweep. */
+    using Key = std::pair<std::uint64_t, std::uint64_t>;
 
     KeyedCache<Key, CsrGraph> cache;
 };

@@ -201,25 +201,6 @@ bfsIslandOrder(const CsrGraph &graph, unsigned jobs)
     return perm;
 }
 
-std::vector<VertexId>
-degreeOrder(const CsrGraph &graph)
-{
-    const std::vector<VertexId> by_degree = graph.verticesByDegree();
-    std::vector<VertexId> perm(graph.numVertices());
-    for (VertexId rank = 0; rank < by_degree.size(); ++rank)
-        perm[by_degree[rank]] = rank;
-    return perm;
-}
-
-std::vector<VertexId>
-identityOrder(VertexId n)
-{
-    std::vector<VertexId> perm(n);
-    for (VertexId v = 0; v < n; ++v)
-        perm[v] = v;
-    return perm;
-}
-
 bool
 isPermutation(const std::vector<VertexId> &perm)
 {

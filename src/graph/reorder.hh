@@ -4,8 +4,7 @@
  *
  * bfsIslandOrder models I-GCN's islandization (MICRO'21): a BFS from
  * high-degree seeds clusters connected communities into contiguous
- * id ranges, improving aggregation locality. degreeOrder supports
- * EnGN's degree-aware vertex cache victim selection.
+ * id ranges, improving aggregation locality.
  */
 
 #ifndef SGCN_GRAPH_REORDER_HH
@@ -30,12 +29,6 @@ namespace sgcn
  */
 std::vector<VertexId> bfsIslandOrder(const CsrGraph &graph,
                                      unsigned jobs = 1);
-
-/** Descending-degree order as a permutation (perm[old] = new). */
-std::vector<VertexId> degreeOrder(const CsrGraph &graph);
-
-/** Identity permutation of size @p n. */
-std::vector<VertexId> identityOrder(VertexId n);
 
 /** Verify @p perm is a bijection on [0, n). */
 bool isPermutation(const std::vector<VertexId> &perm);

@@ -38,16 +38,16 @@ sampleDistinct(unsigned d, unsigned k, Rng &rng,
 
 /**
  * The index std::lower_bound finds for @p value in the ascending
- * @p range, searching from index @p first on. Each step's comparison
- * selects the next index instead of taking a branch: sampled targets
- * land at random positions, so a branch per step would mispredict
- * about half the time.
+ * @p range. Each step's comparison selects the next index instead of
+ * taking a branch: the searched values land at random positions, so
+ * a branch per step would mispredict about half the time.
  */
 template <typename Range>
 std::size_t
-lowerBoundFrom(const Range &range, std::size_t first, VertexId value)
+branchFreeLowerBound(const Range &range, VertexId value)
 {
-    std::size_t len = range.size() - first;
+    std::size_t first = 0;
+    std::size_t len = range.size();
     while (len > 1) {
         const std::size_t half = len / 2;
         first = range[first + half - 1] < value ? first + half : first;
@@ -157,54 +157,41 @@ sampleBatchSubgraph(const CsrGraph &graph, std::uint64_t first_request,
     verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
 
     const auto localOf = [&verts](VertexId parent) {
-        return static_cast<VertexId>(lowerBoundFrom(verts, 0, parent));
+        return static_cast<VertexId>(branchFreeLowerBound(verts, parent));
     };
 
     // Rows: each vertex's sampled out-edges plus its parent self
-    // loop, weights looked up verbatim in the parent row. Both lists
-    // are ascending, so each target is binary-searched from the
-    // previous one's position: O(k log d) for k targets in a
-    // degree-d row, not a walk of the whole row.
+    // loop. The sampled targets are ascending and were drawn from the
+    // parent row, so a row searches its parent row only once, for
+    // the self loop, and writes it at its sorted position among the
+    // targets (TiledGraphView's searches need sorted rows).
     const auto rows = static_cast<VertexId>(verts.size());
     std::vector<EdgeId> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
     std::vector<VertexId> col_idx;
-    std::vector<float> weights;
     EdgeId self_loops = 0;
     std::size_t next_edge = 0;
-    std::vector<VertexId> targets;
     for (VertexId row = 0; row < rows; ++row) {
         const VertexId v = verts[row];
-        targets.clear();
-        targets.push_back(v); // self loop, if the parent has one
-        while (next_edge < edges.size() &&
-               edges[next_edge].first == v) {
-            targets.push_back(edges[next_edge].second);
-            ++next_edge;
-        }
-        std::sort(targets.begin(), targets.end());
         const auto nbrs = graph.neighbors(v);
-        const auto wts = graph.weights(v);
-        std::size_t e = 0;
-        for (VertexId target : targets) {
-            e = lowerBoundFrom(nbrs, e, target);
-            if (e == nbrs.size() || nbrs[e] != target) {
-                // Only the synthesized self loop may be absent from
-                // the parent row; sampled edges came from it.
-                SGCN_ASSERT(target == v,
-                            "sampled edge missing from parent row");
-                continue;
+        const std::size_t self = branchFreeLowerBound(nbrs, v);
+        bool self_pending = self < nbrs.size() && nbrs[self] == v;
+        if (self_pending)
+            ++self_loops;
+        for (; next_edge < edges.size() && edges[next_edge].first == v;
+             ++next_edge) {
+            const VertexId target = edges[next_edge].second;
+            if (self_pending && target > v) {
+                col_idx.push_back(row);
+                self_pending = false;
             }
             col_idx.push_back(localOf(target));
-            weights.push_back(wts[e]);
-            if (target == v)
-                ++self_loops;
         }
+        if (self_pending)
+            col_idx.push_back(row);
         row_ptr[row + 1] = static_cast<EdgeId>(col_idx.size());
     }
     out.graph = CsrGraph::fromCsrArrays(rows, std::move(row_ptr),
-                                        std::move(col_idx),
-                                        std::move(weights),
-                                        self_loops);
+                                        std::move(col_idx), self_loops);
     return out;
 }
 

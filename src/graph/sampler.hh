@@ -7,10 +7,10 @@
  * ego network: starting from a root, each hop samples up to `fanout`
  * distinct neighbours of every frontier vertex. A mini-batch of
  * requests is served as one subgraph — the union of the member
- * requests' sampled edges, renumbered to a compact vertex space with
- * the parent's normalized edge weights copied verbatim (the same
- * contract chip shards rely on: weights normalized against parent
- * degrees cannot be recomputed from the subgraph).
+ * requests' sampled edges plus each member vertex's parent self
+ * loop, renumbered to a compact vertex space. Like a chip shard, a
+ * batch holds topology only: the simulator prices its edges without
+ * reading a weight.
  *
  * Sampling is deterministic per (trace seed, request id): each
  * request owns a derived RNG stream, so a request's ego net is
@@ -44,7 +44,7 @@ struct EgoSampleParams
 /** A mini-batch subgraph plus its mapping back to the parent. */
 struct BatchSubgraph
 {
-    /** Renumbered sampled subgraph (parent weights verbatim). */
+    /** Renumbered sampled subgraph, rows ascending. */
     CsrGraph graph;
 
     /** Parent vertex behind each subgraph row, ascending. */
@@ -81,8 +81,8 @@ std::vector<EdgePair> sampleEgoNet(const CsrGraph &graph,
  * Build the union subgraph of requests [first, first + count) of the
  * trace seeded by @p params.seed: sampled edges of every member,
  * deduplicated, renumbered ascending by parent id, each member
- * vertex keeping its parent self loop (weights copied verbatim via
- * CsrGraph::fromCsrArrays).
+ * vertex keeping its parent self loop at its sorted position in the
+ * row.
  */
 BatchSubgraph sampleBatchSubgraph(const CsrGraph &graph,
                                   std::uint64_t first_request,

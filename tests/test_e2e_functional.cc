@@ -58,10 +58,10 @@ sgcnLayer(const CsrGraph &graph, const CompressedMatrix &x_compressed,
     SparseAggregator engine(width, slice);
     for (VertexId v = 0; v < n; ++v) {
         engine.reset();
-        const auto nbrs = graph.neighbors(v);
-        const auto wts = graph.weights(v);
-        for (std::size_t e = 0; e < nbrs.size(); ++e)
-            engine.accumulate(x_compressed[nbrs[e]], wts[e]);
+        for (VertexId u : graph.neighbors(v)) {
+            engine.accumulate(x_compressed[u],
+                              gcnEdgeWeight(graph, v, u));
+        }
         for (std::uint32_t c = 0; c < width; ++c)
             aggregated.at(v, c) = engine.result()[c];
     }

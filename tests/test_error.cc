@@ -141,6 +141,26 @@ TEST(EdgeListLoader, NegativeIdIsCorruptData)
         << loaded.error().message;
 }
 
+TEST(EdgeListLoader, NoEdgesIsCorruptData)
+{
+    // Comments and blank lines only, and no declared count: there
+    // is no vertex to load.
+    TempFile file(".el");
+    file.writeText("# only a comment\n\n% another\n");
+    Expected<CsrGraph> loaded = loadEdgeList(file.path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::CorruptData);
+    EXPECT_NE(loaded.error().message.find(file.path), std::string::npos)
+        << loaded.error().message;
+
+    // A declared count still gives that many isolated vertices.
+    Expected<CsrGraph> declared =
+        loadEdgeList(file.path, /*num_vertices=*/4);
+    ASSERT_TRUE(declared.ok());
+    EXPECT_EQ(declared.value().numVertices(), 4u);
+    EXPECT_EQ(declared.value().numEdgesNoSelfLoops(), 0u);
+}
+
 TEST(EdgeListLoader, RoundTripsThroughSave)
 {
     const CsrGraph graph =

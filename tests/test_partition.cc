@@ -3,9 +3,9 @@
  * Multi-chip vertex partitioner invariants: the shards cover the
  * parent disjointly, every directed edge lands on exactly one chip,
  * the halo of a chip is exactly its cross-chip in-neighbour set, the
- * renumbered subgraphs carry the parent's edges and normalization
- * verbatim, and the edge-balanced policy actually balances skewed
- * graphs better than the contiguous cut.
+ * renumbered subgraphs carry the parent's edges verbatim, and the
+ * edge-balanced policy actually balances skewed graphs better than
+ * the contiguous cut.
  */
 
 #include <gtest/gtest.h>
@@ -88,7 +88,7 @@ TEST_F(PartitionTest, EveryEdgeOnExactlyOneChip)
     }
 }
 
-TEST_F(PartitionTest, SubgraphEdgesAndWeightsMatchParentRows)
+TEST_F(PartitionTest, SubgraphEdgesMatchParentRows)
 {
     const GraphPartition partition(parent, 3,
                                    PartitionPolicy::EdgeBalanced);
@@ -97,16 +97,13 @@ TEST_F(PartitionTest, SubgraphEdgesAndWeightsMatchParentRows)
             const VertexId local = shard.chipRowOf(v);
             EXPECT_EQ(local, v - shard.begin);
             const auto parent_nbrs = parent.neighbors(v);
-            const auto parent_wts = parent.weights(v);
             const auto chip_nbrs = shard.graph->neighbors(local);
-            const auto chip_wts = shard.graph->weights(local);
             ASSERT_EQ(chip_nbrs.size(), parent_nbrs.size());
             for (std::size_t i = 0; i < parent_nbrs.size(); ++i) {
                 // Neighbour ids map back through the chip
-                // renumbering; weights are the parent's bits.
+                // renumbering.
                 EXPECT_EQ(chip_nbrs[i],
                           shard.chipRowOf(parent_nbrs[i]));
-                EXPECT_EQ(chip_wts[i], parent_wts[i]);
             }
         }
     }
@@ -167,6 +164,65 @@ TEST_F(PartitionTest, SingleChipIsTheWholeGraph)
         // The lone shard is the parent's topology itself.
         EXPECT_EQ(shard.graph->contentFingerprint(),
                   parent.contentFingerprint());
+    }
+}
+
+TEST(PartitionPins, EdgeBalancedShardsArePinned)
+{
+    // Exact vertex, edge and self-loop counts and content
+    // fingerprints of every shard of 1- and 3-chip edge-balanced
+    // partitions. The fingerprint hashes the remapped columns in
+    // order, so a shard whose rows change order or content fails
+    // here even when every count holds.
+    struct Pin
+    {
+        VertexId vertices;
+        EdgeId edges;
+        EdgeId selfLoops;
+        std::pair<std::uint64_t, std::uint64_t> fingerprint;
+    };
+    struct Fixture
+    {
+        const char *abbrev;
+        unsigned chips;
+        std::vector<Pin> shards;
+    };
+    const Fixture fixtures[] = {
+        {"CR", 1,
+         {{1310, 6374, 1310,
+           {0xde0eb6204a4751d5ULL, 0x08b65ad7c344858dULL}}}},
+        {"CR", 3,
+         {{662, 2129, 427, {0xa287b5df7787f051ULL, 0xc53bd3a816220475ULL}},
+          {652, 2122, 436, {0xa7df3ec9511614c5ULL, 0x47b57645c35ebd55ULL}},
+          {694, 2123, 447,
+           {0x44f25de5b1b4c6edULL, 0x58f47e90c55ad515ULL}}}},
+        {"PM", 1,
+         {{1310, 7184, 1310,
+           {0xe22a6473dc588f1fULL, 0xf1f1ebc56f71ee4fULL}}}},
+        {"PM", 3,
+         {{1033, 2394, 438, {0xfc4c86793689c72eULL, 0xbba0b26c99bb196aULL}},
+          {1036, 2399, 434, {0xe023fc3095950403ULL, 0x38cdded8c9499ec3ULL}},
+          {1040, 2391, 438,
+           {0x0c05d8290fc647c1ULL, 0x38a9b16931938ff1ULL}}}},
+    };
+    for (const Fixture &fixture : fixtures) {
+        const Dataset dataset = testfx::datasetFixture(fixture.abbrev);
+        const GraphPartition partition(dataset.graph, fixture.chips,
+                                       PartitionPolicy::EdgeBalanced);
+        ASSERT_EQ(partition.numChips(), fixture.shards.size());
+        for (const ChipShard &shard : partition.shards()) {
+            SCOPED_TRACE(::testing::Message()
+                         << fixture.abbrev << " chip " << shard.chip
+                         << " of " << fixture.chips);
+            const Pin &pin = fixture.shards[shard.chip];
+            EXPECT_EQ(shard.graph->numVertices(), pin.vertices);
+            EXPECT_EQ(shard.graph->numEdges(), pin.edges);
+            EXPECT_EQ(shard.graph->numEdges() -
+                          shard.graph->numEdgesNoSelfLoops(),
+                      pin.selfLoops);
+            EXPECT_EQ(shard.graph->contentFingerprint(),
+                      pin.fingerprint);
+        }
     }
 }
 

@@ -205,10 +205,10 @@ TEST(EgoSampler, SampleIsIndependentOfBatchMembership)
               solo);
 }
 
-TEST(EgoSampler, BatchSubgraphPreservesParentWeights)
+TEST(EgoSampler, BatchSubgraphEdgesComeFromParentRows)
 {
     // Cora's rows are short; RD at scale 0.05 (819 vertices, max
-    // degree 786) makes the sampler's weight lookup cross long
+    // degree 786) makes the sampler's self-loop search cross long
     // parent rows.
     const std::pair<const char *, double> fixtures[] = {
         {"CR", testfx::kDefaultScale}, {"RD", 0.05}};
@@ -225,25 +225,79 @@ TEST(EgoSampler, BatchSubgraphPreservesParentWeights)
                                    sub.vertices.end()));
         ASSERT_EQ(sub.roots.size(), 4u);
 
-        // Every subgraph edge carries the parent row's weight
-        // verbatim (the chip-shard contract: normalized weights
-        // cannot be recomputed from the subgraph).
+        // Every subgraph edge is an edge of the parent row.
         for (VertexId row = 0; row < sub.graph.numVertices(); ++row) {
             const VertexId parent = sub.vertices[row];
-            const auto nbrs = sub.graph.neighbors(row);
-            const auto wts = sub.graph.weights(row);
             const auto parent_nbrs = dataset.graph.neighbors(parent);
-            const auto parent_wts = dataset.graph.weights(parent);
-            for (std::size_t e = 0; e < nbrs.size(); ++e) {
-                const VertexId target = sub.vertices[nbrs[e]];
+            for (VertexId col : sub.graph.neighbors(row)) {
+                const VertexId target = sub.vertices[col];
                 const auto it = std::lower_bound(parent_nbrs.begin(),
                                                  parent_nbrs.end(),
                                                  target);
                 ASSERT_TRUE(it != parent_nbrs.end() && *it == target);
-                EXPECT_EQ(wts[e],
-                          parent_wts[static_cast<std::size_t>(
-                              it - parent_nbrs.begin())]);
             }
+        }
+    }
+}
+
+TEST(EgoSampler, BatchSubgraphsArePinned)
+{
+    // Exact vertex, edge and self-loop counts and content
+    // fingerprints of batches on a short-row and a long-row fixture.
+    // The fingerprint hashes the row pointers and the columns in
+    // order, so a row written unsorted (say, its self loop appended
+    // last) fails here even when every count holds.
+    struct Pin
+    {
+        std::uint64_t first;
+        unsigned count;
+        unsigned fanout;
+        VertexId vertices;
+        EdgeId edges;
+        EdgeId selfLoops;
+        std::pair<std::uint64_t, std::uint64_t> fingerprint;
+    };
+    struct Fixture
+    {
+        const char *abbrev;
+        double scale;
+        std::vector<Pin> pins;
+    };
+    const Fixture fixtures[] = {
+        {"CR",
+         testfx::kDefaultScale,
+         {{0, 4, 10, 87, 193, 87,
+           {0x489a57f0b6cfde7cULL, 0x90ca760a1d4d130cULL}},
+          {37, 16, 10, 301, 708, 301,
+           {0x47fbe97f91d96309ULL, 0xbe52d2f21d5d9d19ULL}},
+          {500, 1, 10, 17, 38, 17,
+           {0x14c72ac286053a64ULL, 0x9c098ecac486b434ULL}}}},
+        {"RD",
+         0.05,
+         {{0, 4, 6, 137, 287, 137,
+           {0x1a74dfedf15fd55dULL, 0xf6932d585ab82a5dULL}},
+          {211, 8, 10, 509, 1355, 509,
+           {0x41fcc8c13999018dULL, 0xa0c1120c575293e1ULL}},
+          {1000, 32, 10, 797, 3961, 797,
+           {0x7856e6787a1c5201ULL, 0xd11dbcaee6798801ULL}}}},
+    };
+    for (const Fixture &fixture : fixtures) {
+        const Dataset dataset =
+            testfx::datasetFixture(fixture.abbrev, fixture.scale);
+        for (const Pin &pin : fixture.pins) {
+            SCOPED_TRACE(::testing::Message()
+                         << fixture.abbrev << " first " << pin.first
+                         << " count " << pin.count);
+            EgoSampleParams params;
+            params.fanout = pin.fanout;
+            const BatchSubgraph sub = sampleBatchSubgraph(
+                dataset.graph, pin.first, pin.count, params);
+            EXPECT_EQ(sub.graph.numVertices(), pin.vertices);
+            EXPECT_EQ(sub.graph.numEdges(), pin.edges);
+            EXPECT_EQ(sub.graph.numEdges() -
+                          sub.graph.numEdgesNoSelfLoops(),
+                      pin.selfLoops);
+            EXPECT_EQ(sub.graph.contentFingerprint(), pin.fingerprint);
         }
     }
 }
