@@ -15,18 +15,17 @@ namespace
 {
 
 /** Phase 1's streaming GEMM X^l . W^l over every row. Besides the
- *  personality's own zero-skipping, it skips zeros when the
- *  ultra-sparse input-layer combination runs on the sparse
- *  aggregator (SVII-B). Counts its MACs; returns the combination
+ *  personality's own zero-skipping, it skips zeros when the layer
+ *  readsSparseInput. Counts its MACs; returns the combination
  *  engines' cycles. */
 Cycle
 combinePhase1(EngineContext &ec)
 {
-    const bool sparse_input = ec.layer.isInputLayer &&
-                              ec.layer.inSparsity > 0.90 &&
-                              ec.cfg.firstLayerSparseInput;
-    return ec.combineRows(ec.layer.graph->numVertices(),
-                          ec.cfg.zeroSkipCombination || sparse_input);
+    return ec.combineRows(
+        ec.layer.graph->numVertices(),
+        ec.cfg.zeroSkipCombination ||
+            readsSparseInput(ec.cfg, ec.layer.isInputLayer,
+                             ec.layer.inSparsity));
 }
 
 /** The dense X.W matrix phase 2 aggregates. The full mask and the

@@ -33,6 +33,35 @@ LayerEngine::effectiveDataflow() const
     return effectiveDataflow(ec.cfg, ec.layer.isInputLayer);
 }
 
+// A new LayerContext field fails the build here until sameInputs
+// says whether an engine reads it.
+static_assert(sizeof(void *) != 8 || sizeof(LayerContext) == 136,
+              "LayerContext changed: decide whether "
+              "LayerEngine::sameInputs compares the new field");
+
+bool
+LayerEngine::sameInputs(const AccelConfig &config, const LayerContext &a,
+                        const LayerContext &b)
+{
+    // Left out: graphOwner only keeps *graph alive; inMask and
+    // outMask are read only through the layouts compared here; and
+    // outSparsity only seeded outMask. The layer's input sparsity has
+    // two readers: the zero-skipping combination
+    // (EngineContext::combineRows) and comb-first's sparse input
+    // layer (readsSparseInput).
+    const bool reads_sparsity =
+        config.zeroSkipCombination ||
+        (a.isInputLayer && config.firstLayerSparseInput);
+    return a.graph == b.graph && a.inLayout == b.inLayout &&
+           a.outLayout == b.outLayout && a.inWidth == b.inWidth &&
+           a.outWidth == b.outWidth &&
+           a.isInputLayer == b.isInputLayer &&
+           a.residual == b.residual && a.edgeBytes == b.edgeBytes &&
+           a.edgeSampleFraction == b.edgeSampleFraction &&
+           a.ownedRows == b.ownedRows &&
+           (!reads_sparsity || a.inSparsity == b.inSparsity);
+}
+
 LayerResult
 LayerEngine::run(ExecutionMode mode)
 {

@@ -62,6 +62,18 @@ class LayerEngine
     /** Dataflow actually executed for this engine's layer. */
     DataflowKind effectiveDataflow() const;
 
+    /**
+     * Whether fresh engines under @p config would read the same
+     * inputs from @p a and @p b, and so return the same result in
+     * either mode: run() reads only the config, the mode and the
+     * context fields compared here, and every artifact it looks up is
+     * a pure function of them. The runner reuses a chip's last
+     * result when its next layer passes this test.
+     */
+    static bool sameInputs(const AccelConfig &config,
+                           const LayerContext &a,
+                           const LayerContext &b);
+
   private:
     /** Finalize traffic/cache/mac stats common to both modes. */
     void finalize(LayerResult &result);

@@ -48,6 +48,19 @@ chainSampledSchedules(const RunResult &run, unsigned arch_intermediate,
     return pipeline.schedule();
 }
 
+/**
+ * The last layer one chip's engine ran: its context and its result
+ * before any chip stall. The context's shared handles keep its graph
+ * and layouts alive, so the pointers LayerEngine::sameInputs compares
+ * can never match a freed and reused address. An empty slot's null
+ * graph matches no built context.
+ */
+struct ChipSlot
+{
+    LayerContext context;
+    LayerResult result;
+};
+
 /** One sharded layer: composed timeline + its exchange breakdown. */
 struct ShardedLayer
 {
@@ -69,6 +82,11 @@ struct ShardedLayer
  * fanned over the jobs pool — and compose the results onto the
  * shared timeline. @p arch_layer 0 is the input layer.
  *
+ * A chip whose context has the same engine inputs as its slot's
+ * copies the slot's result instead of simulating again: a fresh
+ * engine reads nothing else, so the copy is bit-identical. Every
+ * other chip runs its engine and refills its slot.
+ *
  * @param injector fault decisions, or null for the fault-free path
  *        (which then prices bit-identically to the pre-fault code)
  * @param original_chip maps partition chip index -> the original chip
@@ -77,6 +95,8 @@ struct ShardedLayer
  * @param recovery_cycles one-time failure-recovery cost charged to
  *        this layer's exchange prefix (the schedule slot the network
  *        pipeline already knows how to hide)
+ * @param slots one ChipSlot per chip of @p partition, read and
+ *        refilled here
  */
 ShardedLayer
 runShardedLayer(const AccelConfig &config, const Dataset &dataset,
@@ -84,9 +104,11 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
                 const GraphPartition &partition, unsigned arch_layer,
                 const FaultInjector *injector,
                 const std::vector<unsigned> &original_chip,
-                Cycle recovery_cycles)
+                Cycle recovery_cycles, std::vector<ChipSlot> &slots)
 {
     const unsigned chips = partition.numChips();
+    SGCN_ASSERT(slots.size() == chips, "one slot per chip (", chips,
+                " chips, ", slots.size(), " slots)");
     std::vector<LayerContext> contexts;
     contexts.reserve(chips);
     for (unsigned c = 0; c < chips; ++c) {
@@ -116,6 +138,14 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
         injector ? injector->plan().dramRetryProb() : 0.0;
     std::vector<LayerResult> chip_results(chips);
     parallelFor(opts.jobs, chips, [&](std::size_t c) {
+        // Each task touches only its own chip's slot. A chip's config
+        // is the same for every layer of the run (below), so equal
+        // inputs give an equal result.
+        ChipSlot &slot = slots[c];
+        if (LayerEngine::sameInputs(config, slot.context, contexts[c])) {
+            chip_results[c] = slot.result;
+            return;
+        }
         // A dram-retry fault gives every chip its own derived retry
         // seed so chip timelines decorrelate; without one the shared
         // config is used untouched.
@@ -129,13 +159,16 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
             cfg = &chip_cfg;
         }
         LayerEngine engine(*cfg, contexts[c]);
-        chip_results[c] = engine.run(opts.mode);
+        slot.result = engine.run(opts.mode);
+        slot.context = contexts[c];
+        chip_results[c] = slot.result;
     });
 
     if (injector) {
         // Chip stalls extend the stalled chip's drain (and so its
         // critical path), keeping criticalEnd() == cycles and the
-        // last tile pinned to the drain end.
+        // last tile pinned to the drain end. They go on this layer's
+        // copy, never on the slot a later layer may reuse.
         for (unsigned c = 0; c < chips; ++c) {
             const Cycle stall = injector->plan().chipStall(
                 original_chip[c], arch_layer);
@@ -220,6 +253,11 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
     for (unsigned c = 0; c < chips; ++c)
         original_chip[c] = c;
     Cycle pending_recovery = 0;
+
+    // The last layer each chip of the live partition simulated: a
+    // later layer with the same engine inputs (every sampled
+    // intermediate layer of a dense personality) reuses its result.
+    std::vector<ChipSlot> slots(chips);
 
     // Filled for every run, reported only for a sharded one (below).
     ShardStats shard;
@@ -329,6 +367,7 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
                 }
                 partition = StreamArtifactCache::instance().partition(
                     *graph, survivors, opts.partitionPolicy);
+                slots.assign(survivors, ChipSlot{});
                 faults.failedChips +=
                     static_cast<unsigned>(dead.size());
                 faults.repartitions += 1;
@@ -339,7 +378,7 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         }
         ShardedLayer layer = runShardedLayer(
             config, dataset, net, opts, *partition, arch_layer,
-            injector, original_chip, pending_recovery);
+            injector, original_chip, pending_recovery, slots);
         pending_recovery = 0;
         return layer;
     };

@@ -11,6 +11,13 @@
  * never extrapolated, so NELL-style first-layer effects amortize
  * over the network exactly as in the paper (SVI-B).
  *
+ * Each chip simulates a layer only when its engine inputs differ
+ * from the last layer it ran (LayerEngine::sameInputs); otherwise it
+ * copies that result. A personality that keeps features dense and
+ * never zero-skips reads nothing of a layer's sparsity, so its
+ * sampled intermediate layers cost one simulation together, and
+ * more samples cost it nothing.
+ *
  * Every run is a partition of the graph over RunOptions::chips
  * accelerators, and one body drives them all: each layer runs on
  * every chip and composes onto one timeline behind its halo

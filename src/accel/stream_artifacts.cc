@@ -115,10 +115,19 @@ StreamArtifactCache::preparedLayout(FormatKind format,
                                     double expected_density, Addr base,
                                     const MaskHandle &mask)
 {
+    // A dense layout reads only its mask's rows(): sliceValues is
+    // the slice width, and the plans and storageBytes follow the row
+    // stride. So one dense layout serves every mask of its shape,
+    // bound to the first of them asked for, and every dense layer of
+    // a run shares one slice table.
+    const MaskKey mask_key =
+        format == FormatKind::Dense
+            ? MaskKey{0, mask->rows(), mask->cols(), 0, 0}
+            : mask.key;
     const LayoutKey key{static_cast<std::uint8_t>(format), width,
                         slice_width,
                         std::bit_cast<std::uint64_t>(expected_density),
-                        base, mask.key};
+                        base, mask_key};
     auto holder = layouts.lookup(
         key,
         [&]() -> std::shared_ptr<const PreparedLayout> {

@@ -66,7 +66,7 @@ class StreamArtifactCache
 
     /** A cached mask plus the key that identifies it (layout keys
      *  embed the mask key so a layout can never be served against
-     *  the wrong mask). */
+     *  the wrong mask; dense layouts embed only its shape). */
     struct MaskHandle
     {
         std::shared_ptr<const FeatureMask> mask;
@@ -121,7 +121,10 @@ class StreamArtifactCache
      * the given expected density, constructed via core makeLayout on
      * first use. The returned handle co-owns the mask the layout is
      * bound to (FeatureLayout::prepare keeps a raw pointer), so it
-     * stays valid for as long as any run holds it.
+     * stays valid for as long as any run holds it. A dense layout
+     * reads only its mask's shape, so it is keyed by shape: every
+     * mask of one shape gets one layout, bound to the first such
+     * mask asked for. Other formats get one layout per mask.
      */
     std::shared_ptr<const FeatureLayout>
     preparedLayout(FormatKind format, std::uint32_t width,

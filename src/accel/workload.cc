@@ -87,19 +87,19 @@ makeLayer(const Dataset &dataset, const GraphPartition &partition,
     // Offline tile sizing assumes the trained network's *average*
     // sparsity (SV-C); denser-than-average layers overflow, which is
     // the working-set variability SAC absorbs. Input features ship
-    // dense; SGCN may read them through CSR when they are
-    // ultra-sparse (SVII-B), decided on the *global* input sparsity
-    // so every chip agrees on the layout kind. Input-layer layouts
-    // keep the default expected density (no offline estimate exists
-    // for X^0); the output is always the personality's format.
+    // dense; SGCN may read them through CSR (readsSparseInput),
+    // decided on the *global* input sparsity so every chip agrees on
+    // the layout kind. Input-layer layouts keep the default expected
+    // density (no offline estimate exists for X^0); the output is
+    // always the personality's format.
     FormatKind in_format = config.format;
     double expected_density =
         1.0 - modeledAvgSparsity(dataset.spec, net.layers,
                                  net.residual);
     if (input) {
-        const bool sparse_input =
-            config.firstLayerSparseInput && ctx.inSparsity > 0.90;
-        in_format = sparse_input ? FormatKind::Csr : FormatKind::Dense;
+        in_format = readsSparseInput(config, input, ctx.inSparsity)
+                        ? FormatKind::Csr
+                        : FormatKind::Dense;
         expected_density = 0.5;
     }
     ctx.inLayout = artifacts.preparedLayout(

@@ -58,7 +58,10 @@ struct LayerContext
     /** Non-zero structure of X^{l+1} (drives output writes). */
     std::shared_ptr<const FeatureMask> outMask;
 
-    /** Layout of X^l, prepared at kFeatureInBase; co-owns inMask. */
+    /** Layout of X^l, prepared at kFeatureInBase. It co-owns the
+     *  mask it was prepared against: inMask, except for a dense
+     *  layout, which is shared by every mask of its shape and bound
+     *  to the first one the artifact cache was asked for. */
     std::shared_ptr<const FeatureLayout> inLayout;
 
     /** Layout of X^{l+1}, prepared at kFeatureOutBase. */
@@ -138,6 +141,20 @@ LayerContext makeChipInputLayer(const Dataset &dataset,
                                 unsigned chip,
                                 const AccelConfig &config,
                                 const NetworkSpec &net);
+
+/**
+ * Whether @p config reads a layer's input features as sparse: an
+ * ultra-sparse (over 90% zeros) dataset-input layer on a personality
+ * with firstLayerSparseInput reads X^0 through CSR and runs its
+ * combination on the sparse aggregator, skipping the zeros (SVII-B).
+ */
+inline bool
+readsSparseInput(const AccelConfig &config, bool is_input_layer,
+                 double in_sparsity)
+{
+    return is_input_layer && config.firstLayerSparseInput &&
+           in_sparsity > 0.90;
+}
 
 /** Deterministic mask seed shared by all accelerators. */
 std::uint64_t maskSeed(const DatasetSpec &spec, unsigned arch_layer);

@@ -3,10 +3,13 @@
  * Parameterized property sweeps over the sparsity model and the
  * dataset registry: every (dataset x depth x residual) combination
  * must respect the paper's observed bands and monotonicity claims,
- * and generated masks must track the model.
+ * generated masks must track the model, and totals extrapolated from
+ * sampled layers must track full-depth totals.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "gcn/feature_matrix.hh"
 #include "gcn/sparsity_model.hh"
@@ -174,6 +177,75 @@ TEST(SparsitySweepExtra, SamplingMoreLayersConverges)
     const double b = static_cast<double>(
         runNetwork(makeSgcn(), cora, net, fine).total.cycles);
     EXPECT_NEAR(a / b, 1.0, 0.05);
+}
+
+TEST(SparsitySweepExtra, DepthExtrapolationMatchesFullDepth)
+{
+    // Totals extrapolated from 4 sampled intermediate layers against
+    // simulating all 27. A dense personality's engines read nothing
+    // of a layer's sparsity, so every sample is the same layer and
+    // the extrapolation is exact. AWB-GCN's zero-skipping combination
+    // and SGCN's BEICSR follow the sparsity trend, which the stratum
+    // midpoints track to within 1% in cycles and lines. AWB-GCN's
+    // MACs are the exception: they scale with each layer's density,
+    // and on CR the midpoints overstate them by 1.69% in both modes
+    // (-0.49% on CS, -0.26% on PM), so they get a 2% band.
+    const NetworkSpec net;
+    const struct
+    {
+        const char *dataset;
+        ExecutionMode mode;
+    } cases[] = {
+        {"CR", ExecutionMode::Fast},
+        {"CS", ExecutionMode::Fast},
+        {"PM", ExecutionMode::Fast},
+        {"CR", ExecutionMode::Timing},
+    };
+    for (const auto &c : cases) {
+        const Dataset dataset =
+            instantiateDataset(datasetByAbbrev(c.dataset), 0.08);
+        RunOptions sampled;
+        sampled.mode = c.mode;
+        RunOptions full = sampled;
+        full.sampledIntermediateLayers = net.layers - 1;
+        for (const AccelConfig &config : allPersonalities()) {
+            const bool awb = config.name == "AWB-GCN";
+            const bool trend = awb || config.name == "SGCN";
+            const LayerResult a =
+                runNetwork(config, dataset, net, sampled).total;
+            const LayerResult b =
+                runNetwork(config, dataset, net, full).total;
+            const struct
+            {
+                const char *name;
+                double sampled, full, band;
+            } totals[] = {
+                {"cycles", static_cast<double>(a.cycles),
+                 static_cast<double>(b.cycles), 0.01},
+                {"lines", static_cast<double>(a.traffic.totalLines()),
+                 static_cast<double>(b.traffic.totalLines()), 0.01},
+                {"macs", static_cast<double>(a.macs),
+                 static_cast<double>(b.macs), awb ? 0.02 : 0.01},
+            };
+            for (const auto &t : totals) {
+                SCOPED_TRACE(config.name + " on " + c.dataset +
+                             (c.mode == ExecutionMode::Timing
+                                  ? ", timing: "
+                                  : ", fast: ") +
+                             t.name);
+                if (!trend) {
+                    EXPECT_EQ(t.sampled, t.full);
+                    continue;
+                }
+                std::printf("%-7s %s %-6s %-6s error %+.4f%%\n",
+                            config.name.c_str(), c.dataset,
+                            c.mode == ExecutionMode::Timing ? "timing"
+                                                            : "fast",
+                            t.name, 100.0 * (t.sampled / t.full - 1.0));
+                EXPECT_NEAR(t.sampled / t.full, 1.0, t.band);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -6,8 +6,9 @@
  * compute once under the runAll jobs>1 fan-out, keys must separate
  * every input that changes an artifact, and a random mask served
  * from its row-prefix stream must equal a fresh draw at every row
- * count. Runs under the TSan CI job (labelled `thread` in
- * CMakeLists).
+ * count. A dense layout reads only its mask's shape, so it is one
+ * artifact per shape; other formats stay one per mask. Runs under
+ * the TSan CI job (labelled `thread` in CMakeLists).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "accel/personalities.hh"
 #include "accel/runner.hh"
 #include "accel/stream_artifacts.hh"
+#include "formats/dense.hh"
 #include "graph/generators.hh"
 #include "graph/preprocess_cache.hh"
 
@@ -373,6 +375,89 @@ TEST(StreamArtifacts, KeySeparation)
     // seeded entries cached.
     EXPECT_EQ(artifacts.sageEdgeFraction(a, 2, 0),
               artifacts.sageEdgeFraction(a, 2));
+}
+
+/** Two access plans cover the same line runs. */
+void
+expectPlansEqual(const AccessPlan &a, const AccessPlan &b)
+{
+    ASSERT_EQ(a.numRuns, b.numRuns);
+    for (unsigned r = 0; r < a.numRuns; ++r) {
+        EXPECT_EQ(a.runs[r].addr, b.runs[r].addr);
+        EXPECT_EQ(a.runs[r].lines, b.runs[r].lines);
+    }
+}
+
+TEST(StreamArtifacts, DenseLayoutIsOnePerShape)
+{
+    auto &artifacts = StreamArtifactCache::instance();
+    clearSweepArtifacts();
+    constexpr std::uint32_t kRows = 300;
+    constexpr std::uint32_t kWidth = 200;
+    constexpr std::uint32_t kSlice = 96;
+    constexpr double kDensity = 0.4;
+    constexpr Addr kBase = 0x4000;
+
+    // Two masks of one shape, drawn at different sparsities and
+    // seeds, get one dense layout: it reads only the row count.
+    const auto sparse = artifacts.randomMask(kRows, kWidth, 0.9, 21);
+    const auto denser = artifacts.randomMask(kRows, kWidth, 0.3, 22);
+    const auto shared = artifacts.preparedLayout(
+        FormatKind::Dense, kWidth, kSlice, kDensity, kBase, sparse);
+    EXPECT_EQ(artifacts
+                  .preparedLayout(FormatKind::Dense, kWidth, kSlice,
+                                  kDensity, kBase, denser)
+                  .get(),
+              shared.get());
+
+    // It plans exactly what a dense layout prepared on either mask
+    // plans: every slice-table entry, row read and row write.
+    for (const auto *mask : {&sparse, &denser}) {
+        DenseLayout direct(kWidth, kSlice);
+        direct.setExpectedDensity(kDensity);
+        direct.prepare(**mask, kBase);
+        ASSERT_EQ(shared->numSlices(), direct.numSlices());
+        const FeatureLayout::SlicePlan *got = shared->sliceTable();
+        const FeatureLayout::SlicePlan *want = direct.sliceTable();
+        for (std::size_t i = 0; i < kRows * direct.numSlices(); ++i) {
+            EXPECT_EQ(got[i].addr, want[i].addr) << "entry " << i;
+            EXPECT_EQ(got[i].values, want[i].values) << "entry " << i;
+            EXPECT_EQ(got[i].lines, want[i].lines) << "entry " << i;
+        }
+        for (VertexId v = 0; v < kRows; ++v) {
+            expectPlansEqual(shared->planRowRead(v),
+                             direct.planRowRead(v));
+            expectPlansEqual(shared->planRowWrite(v),
+                             direct.planRowWrite(v));
+        }
+        EXPECT_EQ(shared->storageBytes(), direct.storageBytes());
+        EXPECT_EQ(shared->totalRowReadLines(),
+                  direct.totalRowReadLines());
+        EXPECT_EQ(shared->staticSliceBytesEstimate(),
+                  direct.staticSliceBytesEstimate());
+    }
+
+    // Another shape gets its own dense layout.
+    EXPECT_NE(artifacts
+                  .preparedLayout(FormatKind::Dense, kWidth, kSlice,
+                                  kDensity, kBase,
+                                  artifacts.randomMask(kRows + 1, kWidth,
+                                                       0.9, 21))
+                  .get(),
+              shared.get());
+
+    // Compressed layouts read the mask's non-zeros: one per mask.
+    for (const FormatKind format : {FormatKind::Beicsr, FormatKind::Csr}) {
+        EXPECT_NE(artifacts
+                      .preparedLayout(format, kWidth, kSlice, kDensity,
+                                      kBase, sparse)
+                      .get(),
+                  artifacts
+                      .preparedLayout(format, kWidth, kSlice, kDensity,
+                                      kBase, denser)
+                      .get())
+            << formatKindName(format);
+    }
 }
 
 TEST(StreamArtifacts, OneChipPartitionSharesTheGlobalMasks)
