@@ -89,6 +89,18 @@ runFast(EngineContext &ec, LayerResult &result)
     for (const EngineContext::SweepEntry &entry : entries)
         topo_lines_per_pass += ec.topologyPlan(entry).totalLines();
 
+    // Strips in lockstep (Cache::lockstep) read-modify-write their
+    // first line and count it for the strip's lines. The flush then
+    // counts each strip's dirty lines once per line of a strip, so
+    // the strips must be equal.
+    Cache &psum = *ec.psumBuffer;
+    const std::uint64_t strip_lines = linesTouched(
+        0, static_cast<std::uint64_t>(strip_width) * kFeatureBytes);
+    const bool lockstep =
+        ec.layer.outWidth % strip_width == 0 &&
+        psum.lockstep(AddressMap::kPsumBase, psum_stride,
+                      static_cast<std::uint64_t>(strip_width) *
+                          kFeatureBytes);
     for (unsigned strip = 0; strip < strips; ++strip) {
         const std::uint32_t begin_col = strip * strip_width;
         const std::uint32_t end_col =
@@ -100,6 +112,7 @@ runFast(EngineContext &ec, LayerResult &result)
                                  topo_lines_per_pass);
         const Cycle pick_cost = std::max<Cycle>(
             1, divCeil(end_col - begin_col, ec.cfg.simdLanes));
+        const Cache::Tally mark = psum.tally();
         for (const EngineContext::SweepEntry &entry : entries) {
             const std::size_t pick_end = entry.pickBegin + entry.walk;
             for (std::size_t i = entry.pickBegin; i < pick_end; ++i) {
@@ -107,10 +120,11 @@ runFast(EngineContext &ec, LayerResult &result)
                     AddressMap::kPsumBase +
                     static_cast<Addr>(picks[i]) * psum_stride +
                     static_cast<Addr>(begin_col) * kFeatureBytes;
-                ec.psumBuffer->accessRunRmwFunctional(
+                psum.accessRunRmwFunctional(
                     alignDown(strip_addr, kCachelineBytes),
-                    static_cast<std::uint32_t>(
-                        linesTouched(strip_addr, strip_bytes)),
+                    lockstep ? 1
+                             : static_cast<std::uint32_t>(linesTouched(
+                                   strip_addr, strip_bytes)),
                     TrafficClass::PartialSum);
             }
             engine_cycles[entry.engine] +=
@@ -118,10 +132,15 @@ runFast(EngineContext &ec, LayerResult &result)
             ec.aggMacs += static_cast<std::uint64_t>(entry.walk) *
                           (end_col - begin_col);
         }
+        if (lockstep)
+            psum.repeatSince(mark, strip_lines - 1);
     }
     // Dirty partial sums flush as the S^{l+1} writeback...
     const EngineContext::Snapshot drain_before = ec.snapshot();
-    ec.psumBuffer->flush();
+    const Cache::Tally flush_mark = psum.tally();
+    psum.flush();
+    if (lockstep)
+        psum.repeatSince(flush_mark, strip_lines - 1);
     // ...and X^{l+1} is emitted once after activation.
     StreamLineCounter stream{ec.fastStreamTraffic};
     const std::uint64_t serialized_write_lines =

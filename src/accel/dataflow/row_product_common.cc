@@ -16,6 +16,16 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
     const auto &picks = ec.sweepPicks;
     StreamLineCounter stream{ec.fastStreamTraffic};
     std::vector<Cycle> engine_cycles(ec.cfg.aggEngines, 0);
+    // A dense layout whose slices' sets move in lockstep
+    // (Cache::lockstep) reads each slice run's first line, and each
+    // pass counts its cache work once more per further line of the
+    // slice.
+    const bool lockstep =
+        layout.kind() == FormatKind::Dense &&
+        ec.cache.lockstep(layout.baseAddress(),
+                          denseRowStride(layout.featureWidth()),
+                          static_cast<std::uint64_t>(layout.sliceWidth()) *
+                              kFeatureBytes);
 
     // Source tiles outermost: the tile's edges are fetched once into
     // the edge buffer (Fig. 5) and replayed for every feature slice.
@@ -26,10 +36,7 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
             entries.data() + ec.sweepSrcBegin[c],
             ec.sweepSrcBegin[c + 1] - ec.sweepSrcBegin[c]);
         for (unsigned s = 0; s < slices; ++s) {
-            // Distance-1 software pipeline over the program's pick
-            // stream: prefetch pick i+1's tag sets while pick i's
-            // lines run through the functional cache. Access order
-            // is exactly the plain loop's.
+            const Cache::Tally mark = ec.cache.tally();
             for (const EngineContext::SweepEntry &entry : runs) {
                 if (s == 0) {
                     // Later slices replay the edge buffer.
@@ -43,23 +50,11 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                     const FeatureLayout::SlicePlan &pe =
                         table[static_cast<std::size_t>(picks[i]) *
                                   slices + s];
-                    if (i + 1 < picks.size()) {
-                        const FeatureLayout::SlicePlan &npe =
-                            table[static_cast<std::size_t>(
-                                      picks[i + 1]) *
-                                      slices + s];
-                        if (npe.lines !=
-                            FeatureLayout::SlicePlan::kMultiRun) {
-                            Addr line = npe.addr;
-                            for (std::uint32_t j = 0; j < npe.lines;
-                                 ++j, line += kCachelineBytes)
-                                ec.cache.prefetchSet(line);
-                        }
-                    }
                     if (pe.lines !=
                         FeatureLayout::SlicePlan::kMultiRun) {
                         ec.cache.accessRunFunctional(
-                            pe.addr, pe.lines, MemOp::Read, cls);
+                            pe.addr, lockstep ? 1 : pe.lines,
+                            MemOp::Read, cls);
                     } else {
                         ec.cache.accessPlanFunctional(
                             layout.planSliceRead(picks[i], s),
@@ -72,6 +67,8 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                 engine_cycles[entry.engine] += compute;
                 ec.aggMacs += macs;
             }
+            if (lockstep && !runs.empty())
+                ec.cache.repeatSince(mark, table[s].lines - 1);
         }
     }
     return *std::max_element(engine_cycles.begin(),

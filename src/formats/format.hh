@@ -157,6 +157,9 @@ class FeatureLayout
     /** Feature width (columns). */
     std::uint32_t featureWidth() const { return width; }
 
+    /** Base address the layout was prepared at. */
+    Addr baseAddress() const { return baseAddr; }
+
     /** Unit slice width in features. */
     std::uint32_t sliceWidth() const { return unitSlice; }
 

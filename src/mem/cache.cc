@@ -735,4 +735,36 @@ Cache::flush()
     lastFunctionalAddr = ~Addr{0};
 }
 
+void
+Cache::repeatSince(const Tally &mark, std::uint64_t extra)
+{
+    const auto again = [extra](std::uint64_t &now, std::uint64_t then) {
+        now += (now - then) * extra;
+    };
+    again(statCounters.hits, mark.stats.hits);
+    again(statCounters.misses, mark.stats.misses);
+    again(statCounters.mshrCoalesced, mark.stats.mshrCoalesced);
+    again(statCounters.evictions, mark.stats.evictions);
+    again(statCounters.writebacks, mark.stats.writebacks);
+    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+        again(functionalTraffic.readLines[c], mark.traffic.readLines[c]);
+        again(functionalTraffic.writeLines[c],
+              mark.traffic.writeLines[c]);
+    }
+}
+
+bool
+Cache::lockstep(Addr base, std::uint64_t row_bytes,
+                std::uint64_t slice_bytes) const
+{
+    const std::uint64_t row_lines = row_bytes / kCachelineBytes;
+    const bool own_sets = cfg.replacement == ReplacementPolicy::Lru ||
+                          cfg.replacement == ReplacementPolicy::Fifo ||
+                          cfg.replacement == ReplacementPolicy::Srrip;
+    return own_sets && row_lines != 0 &&
+           row_bytes % kCachelineBytes == 0 &&
+           (setMask + 1) % row_lines == 0 && base % row_bytes == 0 &&
+           slice_bytes % kCachelineBytes == 0;
+}
+
 } // namespace sgcn

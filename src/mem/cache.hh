@@ -12,6 +12,15 @@
  * replacement through one victim-pick kernel, which read a set's
  * separate tag and use-stamp rows (at 16 ways, 64 bytes each,
  * compared with SSE2 where the platform has it).
+ *
+ * The fast sweeps over dense rows lean on one property of the set
+ * mapping (lockstep()): when a row's lines divide the set count and
+ * rows start aligned to their size, the lines of one slice of a row
+ * share a tag and sit in sets that every slice access reaches
+ * together. Under LRU, FIFO and SRRIP those sets stay in identical
+ * states, so the functional sweeps run one line per slice and count
+ * it for every line of the slice (tally() and repeatSince()). Timing
+ * mode still issues every line: there each one is a DRAM request.
  */
 
 #ifndef SGCN_MEM_CACHE_HH
@@ -189,20 +198,45 @@ class Cache
     /** Drop all cached lines (dirty lines write back functionally). */
     void flush();
 
-    /**
-     * Hint that @p line_addr will be probed shortly: prefetch its
-     * set's tag and stamp rows. The fast sweeps know the next access
-     * a few dozen cycles ahead, enough to hide the L2 latency of the
-     * tag array's random-set walk. No architectural effect.
-     */
-    void
-    prefetchSet(Addr line_addr) const
+    /** Every counter the cache moves: its statistics and the DRAM
+     *  traffic of its functional accesses. */
+    struct Tally
     {
-        const std::size_t base = static_cast<std::size_t>(
-            (line_addr / kCachelineBytes) & setMask) * cfg.ways;
-        __builtin_prefetch(lineTag.data() + base);
-        __builtin_prefetch(lineStamp.data() + base);
-    }
+        CacheStats stats;
+        TrafficCounters traffic;
+    };
+
+    /** The counters now, as a mark for repeatSince(). */
+    Tally tally() const { return {statCounters, functionalTraffic}; }
+
+    /**
+     * Count everything since @p mark @p extra more times: hits,
+     * misses, MSHR coalesces, evictions, writebacks and the
+     * functional read and write lines of every class. The lockstep
+     * sweeps run one set of a lockstep group and count it for all.
+     */
+    void repeatSince(const Tally &mark, std::uint64_t extra);
+
+    /**
+     * The lockstep rule. Take rows of @p row_bytes laid out from
+     * @p base and touched only functionally: whole-row pins into an
+     * empty cache, then whole runs of slices that start every
+     * @p slice_bytes of a row (reads and read-modify-writes), then
+     * flush(). Returns true when the sets holding one slice of a row
+     * move in lockstep: every row is a whole number of lines that
+     * divides the set count, every row starts on a multiple of its
+     * own size, every slice starts on a line, and the policy keeps
+     * each set's state to itself. Then every line of a slice has the
+     * row's tag and its own set, and those sets see one access
+     * sequence from one all-invalid start, so running a slice's
+     * first line and counting it for the slice's lines (repeatSince)
+     * gives every count the whole slice would. The pins stay whole:
+     * they all land before the first run, so the sets the reduced
+     * runs skip change none of their counts. Random fails the rule:
+     * every set draws its victims from one shared stream.
+     */
+    bool lockstep(Addr base, std::uint64_t row_bytes,
+                  std::uint64_t slice_bytes) const;
 
     /** Cache statistics. */
     const CacheStats &stats() const { return statCounters; }

@@ -2,14 +2,17 @@
  * @file
  * Replacement-policy tests: behavioural differences between LRU,
  * FIFO, Random, and SRRIP, including the streaming-thrash case
- * SRRIP exists for (the SV-C working-set-overflow scenario), and a
+ * SRRIP exists for (the SV-C working-set-overflow scenario), a
  * differential check of the cache's LRU/FIFO set kernels against a
- * plain per-set model.
+ * plain per-set model, and one of the lockstep rule the fast dense
+ * sweeps rely on.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "sim/rng.hh"
@@ -479,6 +482,177 @@ INSTANTIATE_TEST_SUITE_P(
                "way_renorm" +
                (std::get<2>(info.param) == 16 ? "16" : "Default");
     });
+
+/**
+ * The lockstep rule's promise (Cache::lockstep): over rows whose
+ * slices' sets move in lockstep, a cache that runs only the first
+ * line of every slice run and repeats its counts for the slice's
+ * other lines (repeatSince) counts exactly what a cache running
+ * every line counts. Seeded streams over 8-line rows in 32 sets run
+ * four layers each, the way a fast layer meets the cache: whole-row
+ * pins into the empty cache, issued to both caches as
+ * EngineContext::pinDavc issues them, then whole-slice reads and
+ * read-modify-writes with an unpinAll now and then, then a flush.
+ * The read-modify-write streams cut the row into equal slices of 2
+ * lines, since the flush counts every slice's dirty lines with one
+ * factor; the read-only streams cut it 3, 3 and 2.
+ */
+class LockstepDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<ReplacementPolicy, unsigned>>
+{
+};
+
+TEST_P(LockstepDifferential, OneLinePerSliceCountsEveryLine)
+{
+    const auto [policy, ways] = GetParam();
+    constexpr std::uint64_t kRowLines = 8;
+    constexpr std::uint64_t kSets = 32;
+    constexpr Addr kBase = 0x4000'0000;
+    for (const bool rmw : {false, true}) {
+        const std::vector<std::uint32_t> slice_lines =
+            rmw ? std::vector<std::uint32_t>{2, 2, 2, 2}
+                : std::vector<std::uint32_t>{3, 3, 2};
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(std::string(rmw ? "rmw" : "read") + " seed " +
+                         std::to_string(seed));
+            // The use stamps renormalize every few thousand ticks (at
+            // least once per line of the cache, or every tick).
+            const auto renorm = static_cast<std::uint32_t>(4 * kSets * ways);
+            PolicyHarness full(policy, ways, kSets * ways * kCachelineBytes,
+                               renorm);
+            PolicyHarness one(policy, ways, kSets * ways * kCachelineBytes,
+                              renorm);
+            ASSERT_TRUE(one.cache->lockstep(
+                kBase, kRowLines * kCachelineBytes,
+                slice_lines[0] * kCachelineBytes));
+            // Each of the four row groups is contended by 2 * ways + 2
+            // rows.
+            const std::uint64_t rows = kSets / kRowLines * (2 * ways + 2);
+            Rng rng(seed);
+            const auto random_row = [&] {
+                return kBase +
+                       rng.uniformInt(rows) * kRowLines * kCachelineBytes;
+            };
+            // One slice run, line by line in full and one line plus
+            // repeated counts in one.
+            const auto run = [&](Addr row, unsigned s, bool write) {
+                Addr at = row;
+                for (unsigned p = 0; p < s; ++p)
+                    at += slice_lines[p] * kCachelineBytes;
+                const Cache::Tally mark = one.cache->tally();
+                if (write) {
+                    full.cache->accessRunRmwFunctional(
+                        at, slice_lines[s], TrafficClass::PartialSum);
+                    one.cache->accessRunRmwFunctional(
+                        at, 1, TrafficClass::PartialSum);
+                } else {
+                    full.cache->accessRunFunctional(
+                        at, slice_lines[s], MemOp::Read,
+                        TrafficClass::FeatureIn);
+                    one.cache->accessRunFunctional(
+                        at, 1, MemOp::Read, TrafficClass::FeatureIn);
+                }
+                one.cache->repeatSince(mark, slice_lines[s] - 1);
+            };
+            for (int layer = 0; layer < 4; ++layer) {
+                // Up to three rows per way: enough that some sets
+                // refuse pins past half their ways.
+                const std::uint64_t pinned_rows = rng.uniformInt(3 * ways);
+                for (std::uint64_t r = 0; r < pinned_rows; ++r) {
+                    const Addr row = random_row();
+                    for (std::uint64_t l = 0; l < kRowLines; ++l) {
+                        full.cache->pin(row + l * kCachelineBytes,
+                                        TrafficClass::FeatureIn);
+                        one.cache->pin(row + l * kCachelineBytes,
+                                       TrafficClass::FeatureIn);
+                    }
+                }
+                Addr row = kBase;
+                unsigned slice = 0;
+                for (int op = 0; op < 5000; ++op) {
+                    // A tenth of the operations revisit the last slice:
+                    // the duplicate-access memo's case in the one-line
+                    // cache only.
+                    if (!rng.bernoulli(0.1)) {
+                        row = random_row();
+                        slice = static_cast<unsigned>(
+                            rng.uniformInt(slice_lines.size()));
+                    }
+                    const std::uint64_t kind = rng.uniformInt(100);
+                    if (kind < 70) {
+                        run(row, slice, false);
+                    } else if (kind < 99) {
+                        run(row, slice, rmw);
+                    } else {
+                        full.cache->unpinAll();
+                        one.cache->unpinAll();
+                    }
+                    ASSERT_EQ(one.cache->stats().hits,
+                              full.cache->stats().hits)
+                        << "layer " << layer << " op " << op;
+                    ASSERT_EQ(one.cache->stats().misses,
+                              full.cache->stats().misses)
+                        << "layer " << layer << " op " << op;
+                }
+                const Cache::Tally mark = one.cache->tally();
+                full.cache->flush();
+                one.cache->flush();
+                one.cache->repeatSince(mark, slice_lines[0] - 1);
+            }
+            EXPECT_EQ(one.cache->stats().evictions,
+                      full.cache->stats().evictions);
+            EXPECT_EQ(one.cache->stats().writebacks,
+                      full.cache->stats().writebacks);
+            const TrafficCounters &a = one.cache->functionalDramTraffic();
+            const TrafficCounters &b = full.cache->functionalDramTraffic();
+            for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+                EXPECT_EQ(a.readLines[c], b.readLines[c]);
+                EXPECT_EQ(a.writeLines[c], b.writeLines[c]);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerSetPolicies, LockstepDifferential,
+    ::testing::Combine(::testing::Values(ReplacementPolicy::Lru,
+                                         ReplacementPolicy::Fifo,
+                                         ReplacementPolicy::Srrip),
+                       ::testing::Values(4u, 16u)),
+    [](const auto &info) {
+        return std::string(replacementPolicyName(std::get<0>(info.param))) +
+               "_" + std::to_string(std::get<1>(info.param)) + "way";
+    });
+
+TEST(Lockstep, RuleRefusesSharedVictimsAndMisfitGeometry)
+{
+    // Table III's cache (512 sets) under Fig. 11's dense rows: 256
+    // features are 16 lines, and 96-feature slices start every 6.
+    constexpr Addr kBase = 0x4000'0000;
+    constexpr std::uint64_t kRow = 16 * kCachelineBytes;
+    constexpr std::uint64_t kSlice = 6 * kCachelineBytes;
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+          ReplacementPolicy::Srrip}) {
+        EXPECT_TRUE(PolicyHarness(policy, 16, 512 * 1024)
+                        .cache->lockstep(kBase, kRow, kSlice))
+            << replacementPolicyName(policy);
+    }
+    // Random draws every set's victims from one stream.
+    EXPECT_FALSE(PolicyHarness(ReplacementPolicy::Random, 16, 512 * 1024)
+                     .cache->lockstep(kBase, kRow, kSlice));
+    const PolicyHarness lru(ReplacementPolicy::Lru, 16, 512 * 1024);
+    // 100 features are 7 lines, which do not divide 512 sets...
+    EXPECT_FALSE(lru.cache->lockstep(kBase, 7 * kCachelineBytes, kSlice));
+    // ...nor do 1024-line rows...
+    EXPECT_FALSE(
+        lru.cache->lockstep(kBase, 1024 * kCachelineBytes, kSlice));
+    // ...rows must start on a multiple of their size...
+    EXPECT_FALSE(lru.cache->lockstep(kBase + kSlice, kRow, kSlice));
+    // ...and 24-feature slices start inside a line.
+    EXPECT_FALSE(lru.cache->lockstep(kBase, kRow, 24 * 4));
+}
 
 } // namespace
 } // namespace sgcn
