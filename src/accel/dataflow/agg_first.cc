@@ -105,44 +105,48 @@ runTiming(EngineContext &ec, const TiledGraphView &view,
     std::deque<StreamDma> drains;
 
     // The callbacks capture this frame's locals by reference: the
-    // events.run() below drains every event before it returns.
-    std::function<void(unsigned)> start_tile = [&](unsigned t) {
+    // events.run() below drains every event before it returns. A
+    // scheduled closure captures one named step and a tile index,
+    // which fits the inline event budget; the steps' own captures
+    // (a reference per local) would not.
+    std::function<void(unsigned)> start_tile;
+    const auto drain = [&](unsigned t) {
+        drain_trace.markStart(ec.events.now());
+        StreamDma &dma = drains.emplace_back(ec);
+        tileOutputPass(ec, dma, view.dstTileBegin(t), view.dstTileEnd(t));
+        dma.start([&, t] {
+            drain_trace.markEnd(ec.events.now());
+            tile_traces.markReady(t, ec.events.now());
+        });
+    };
+    const auto aggregate = [&](unsigned t) {
+        const Cycle agg_start = ec.events.now();
+        agg_trace.markStart(agg_start);
+        tile_traces.markConsumeStart(t, agg_start);
+        ec.buildTileProgram(view, t);
+        sweep.start([&, t, agg_start] {
+            result.aggCycles += ec.events.now() - agg_start;
+            agg_trace.markEnd(ec.events.now());
+            tile_traces.markConsumeEnd(t, ec.events.now());
+            const Cycle comb_cycles = combineTile(ec, view, t);
+            const Cycle comb_start =
+                std::max(ec.events.now(), comb_free_at);
+            comb_free_at = comb_start + comb_cycles;
+            comb_done[t] = comb_free_at;
+            result.combCycles += comb_cycles;
+            comb_trace.markStart(comb_start);
+            comb_trace.markEnd(comb_free_at);
+            ec.events.schedule(comb_free_at, [&drain, t] { drain(t); });
+            if (t + 1 < tiles)
+                start_tile(t + 1);
+        });
+    };
+    start_tile = [&](unsigned t) {
         // Ping-pong psum buffers: aggregation of tile t may only
         // start once combination of tile t-2 has drained its buffer.
         const Cycle gate = t >= 2 ? comb_done[t - 2] : 0;
-        ec.events.schedule(std::max(ec.events.now(), gate), [&, t] {
-            const Cycle agg_start = ec.events.now();
-            agg_trace.markStart(agg_start);
-            tile_traces.markConsumeStart(t, agg_start);
-            ec.buildTileProgram(view, t);
-            sweep.start([&, t, agg_start] {
-                result.aggCycles += ec.events.now() - agg_start;
-                agg_trace.markEnd(ec.events.now());
-                tile_traces.markConsumeEnd(t, ec.events.now());
-                const Cycle comb_cycles = combineTile(ec, view, t);
-                const Cycle comb_start =
-                    std::max(ec.events.now(), comb_free_at);
-                comb_free_at = comb_start + comb_cycles;
-                comb_done[t] = comb_free_at;
-                result.combCycles += comb_cycles;
-                comb_trace.markStart(comb_start);
-                comb_trace.markEnd(comb_free_at);
-
-                ec.events.schedule(comb_free_at, [&, t] {
-                    drain_trace.markStart(ec.events.now());
-                    StreamDma &dma = drains.emplace_back(ec);
-                    tileOutputPass(ec, dma, view.dstTileBegin(t),
-                                   view.dstTileEnd(t));
-                    dma.start([&, t] {
-                        drain_trace.markEnd(ec.events.now());
-                        tile_traces.markReady(t, ec.events.now());
-                    });
-                });
-
-                if (t + 1 < tiles)
-                    start_tile(t + 1);
-            });
-        });
+        ec.events.schedule(std::max(ec.events.now(), gate),
+                           [&aggregate, t] { aggregate(t); });
     };
     start_tile(0);
     ec.events.run();

@@ -365,8 +365,7 @@ Dram::issueRequest(Channel &channel, std::size_t pick)
         return;
     }
 
-    MemCallback done = std::move(pending.done);
-    events.schedule(data_end, [this, done = std::move(done)]() mutable {
+    events.schedule(data_end, [this, done = pending.done]() mutable {
         --outstanding;
         if (done)
             done();

@@ -203,12 +203,6 @@ class Dram
 
     struct Channel
     {
-        // Move-only: Pending holds a move-only callback, so the
-        // channel array must move rather than copy.
-        Channel() = default;
-        Channel(Channel &&) = default;
-        Channel &operator=(Channel &&) = default;
-
         /** Requests queued, in arrival order. */
         std::size_t depth() const { return keys.size() - head; }
 

@@ -30,13 +30,15 @@ struct MemRequest
 };
 
 /** Inline capture budget of a memory completion callback: engine
- *  item completions and burst-join handles are at most a couple of
- *  pointers plus a word. */
-constexpr std::size_t kMemCaptureBytes = 32;
+ *  item completions, burst-join parts and cache fills capture at most
+ *  a pointer plus two words. At 24 bytes a MemCallback is 32, so a
+ *  DRAM completion (`this` plus a MemCallback) fits the event budget,
+ *  kEventCaptureBytes. */
+constexpr std::size_t kMemCaptureBytes = 24;
 
-/** Completion callback invoked when a timing request finishes.
- *  Move-only with inline capture storage; never heap-allocates for
- *  captures up to kMemCaptureBytes. */
+/** Completion callback invoked when a timing request finishes: a
+ *  trivially copyable capture of at most kMemCaptureBytes, held
+ *  inline. */
 using MemCallback = SmallFunction<kMemCaptureBytes>;
 
 /** Per-traffic-class line counters (64B lines). */

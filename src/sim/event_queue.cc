@@ -8,21 +8,6 @@
 namespace sgcn
 {
 
-std::uint32_t
-EventQueue::acquireSlot(Callback cb)
-{
-    std::uint32_t slot;
-    if (freeSlots.empty()) {
-        slot = static_cast<std::uint32_t>(slots.size());
-        slots.push_back(std::move(cb));
-    } else {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-        slots[slot] = std::move(cb);
-    }
-    return slot;
-}
-
 void
 EventQueue::markBucket(std::size_t bucket)
 {
@@ -46,11 +31,10 @@ EventQueue::schedule(Cycle when, Callback cb)
         // cycle, and appends arrive in schedule order, so position in
         // the bucket is FIFO order.
         const std::size_t bucket = when & kWheelMask;
-        wheel[bucket].push_back(std::move(cb));
+        wheel[bucket].push_back(cb);
         markBucket(bucket);
     } else {
-        farHeap.push_back(
-            FarEvent{when, nextFarSeq++, acquireSlot(std::move(cb))});
+        farHeap.push_back(FarEvent{when, nextFarSeq++, cb});
         std::push_heap(farHeap.begin(), farHeap.end(), Later{});
     }
 }
@@ -101,9 +85,9 @@ EventQueue::execute(Cycle t_near, Cycle t_far)
 {
     --pendingCount;
     ++executedCount;
-    // Move the callback out before invoking it: the callback may
-    // schedule more events, appending to the bucket it came from or
-    // reusing its far slot.
+    // Copy the callback out before invoking it: the callback may
+    // schedule more events, which can reallocate the bucket it came
+    // from or the far heap.
     Callback cb;
     if (t_far <= t_near) {
         // Ties drain the far heap first: a far event of this cycle
@@ -111,13 +95,11 @@ EventQueue::execute(Cycle t_near, Cycle t_far)
         // cycle (it predates the horizon reaching the cycle).
         currentCycle = t_far;
         std::pop_heap(farHeap.begin(), farHeap.end(), Later{});
-        const std::uint32_t slot = farHeap.back().slot;
+        cb = farHeap.back().cb;
         farHeap.pop_back();
-        cb = std::move(slots[slot]);
-        freeSlots.push_back(slot);
     } else {
         currentCycle = t_near;
-        cb = std::move(wheel[currentCycle & kWheelMask][activePos++]);
+        cb = wheel[currentCycle & kWheelMask][activePos++];
     }
     cb();
 

@@ -10,10 +10,10 @@
  * Two structural choices keep the hot path allocation- and
  * heap-op-free:
  *
- *  - Callbacks are SmallFunction, not std::function: scheduling an
- *    event with a capture up to kEventCaptureBytes never touches the
- *    heap, and larger captures recycle fixed-size blocks through a
- *    thread-local slab (sim/small_function.hh).
+ *  - Callbacks are SmallFunction, not std::function: a trivially
+ *    copyable capture of at most kEventCaptureBytes held inline
+ *    (sim/small_function.hh), so scheduling an event never touches
+ *    the heap and queued callbacks move as plain bytes.
  *
  *  - Events within kWheelSpan cycles of now (DRAM bursts, cache hit
  *    latencies, scheduler polls — the overwhelming majority) go into
@@ -23,9 +23,7 @@
  *    heap and drain before same-cycle wheel events — which preserves
  *    global FIFO order exactly, because an event can only have
  *    reached the far heap by being scheduled before every wheel
- *    event of the same cycle (the horizon only advances). Far
- *    callbacks wait in a stable slot pool, so the heap only moves
- *    small PODs.
+ *    event of the same cycle (the horizon only advances).
  */
 
 #ifndef SGCN_SIM_EVENT_QUEUE_HH
@@ -43,9 +41,9 @@ namespace sgcn
 {
 
 /** Inline capture budget of an event callback: a pointer plus a few
- *  words (scheduler wake-ups, cache and engine completions). A DRAM
- *  completion, `this` plus a moved-in MemCallback, is 64 bytes and
- *  takes a slab block. */
+ *  words (scheduler wake-ups, cache and engine completions). The
+ *  largest capture, a DRAM completion, is `this` plus a MemCallback:
+ *  48 bytes with padding. */
 constexpr std::size_t kEventCaptureBytes = 48;
 
 /** Minimal discrete-event kernel driving all timing simulation. */
@@ -60,7 +58,7 @@ class EventQueue
     /** Schedule @p cb @p delta cycles from now. */
     void scheduleAfter(Cycle delta, Callback cb)
     {
-        schedule(currentCycle + delta, std::move(cb));
+        schedule(currentCycle + delta, cb);
     }
 
     /** Current simulation time. */
@@ -94,13 +92,12 @@ class EventQueue
     static constexpr std::size_t kWheelMask = kWheelSpan - 1;
     static constexpr std::size_t kBitmapWords = kWheelSpan / 64;
 
-    /** A far event: its callback waits in slots[slot]; seq orders
-     *  far events of the same cycle. */
+    /** A far event; seq orders far events of the same cycle. */
     struct FarEvent
     {
         Cycle when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        Callback cb;
     };
 
     /** std::push_heap max-heap comparator inverted to a (when, seq)
@@ -115,8 +112,6 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
-
-    std::uint32_t acquireSlot(Callback cb);
 
     /** Earliest non-empty wheel cycle (max Cycle if none). */
     Cycle nearTime() const;
@@ -139,9 +134,6 @@ class EventQueue
 
     std::vector<FarEvent> farHeap;
     std::uint64_t nextFarSeq = 0;
-
-    std::vector<Callback> slots;
-    std::vector<std::uint32_t> freeSlots;
 
     std::size_t pendingCount = 0;
     Cycle currentCycle = 0;

@@ -1,121 +1,33 @@
 /**
  * @file
- * Small-buffer-optimized move-only callable, the event kernel's
- * callback representation.
+ * Trivially copyable type-erased callable, the event kernel's and the
+ * memory system's callback representation.
  *
  * std::function heap-allocates any capture larger than two pointers,
  * and the timing simulator schedules tens of millions of events whose
- * captures are 8-48 bytes. SmallFunction<N> stores captures up to N
- * bytes inline in the object; larger captures spill to a thread-local
- * slab of fixed-size blocks recycled through a free list, so even the
- * spill path stops hitting the general-purpose allocator once warm.
- * Trivially-copyable inline targets (the overwhelmingly common case:
- * lambdas capturing pointers and integers) are relocated with a plain
- * memcpy, with no indirect call.
- *
- * Move-only by design: completion callbacks own resources (other
- * callbacks, join handles) and are invoked at most once per line of
- * control flow, so copyability would only hide accidental fan-out.
+ * captures are a pointer plus a few words. SmallFunction<N> is N
+ * bytes of inline capture storage plus one invoke pointer. Its
+ * constructor admits only captures that are trivially copyable,
+ * trivially destructible, at most N bytes and at most
+ * max_align_t-aligned, so an owning or oversized capture is a compile
+ * error rather than a heap allocation. The callable itself is then
+ * trivially copyable: the timing wheel, the DRAM queues and the MSHR
+ * table move callbacks as plain bytes, with no relocate or destroy
+ * call, and a copy owns nothing that could be freed twice.
  */
 
 #ifndef SGCN_SIM_SMALL_FUNCTION_HH
 #define SGCN_SIM_SMALL_FUNCTION_HH
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
-#include <utility>
 
 namespace sgcn
 {
 
-namespace detail
-{
-
-/**
- * Thread-local free list of fixed-size spill blocks.
- *
- * Allocation and release of a spilled capture always happen on the
- * thread running that simulation (each run owns its event queue), so
- * no synchronization is needed. Blocks above the slab size fall back
- * to the general-purpose allocator; the free list is drained when
- * the thread exits.
- */
-class CallbackSlab
-{
-  public:
-    /** Covers every capture the timing paths produce today. */
-    static constexpr std::size_t kBlockBytes = 128;
-
-    static void *
-    allocate(std::size_t bytes)
-    {
-        if (bytes > kBlockBytes)
-            return ::operator new(bytes);
-        Slab &slab = local();
-        if (slab.head != nullptr) {
-            void *block = slab.head;
-            slab.head = *static_cast<void **>(block);
-            return block;
-        }
-        ++slab.blocksOwned;
-        return ::operator new(kBlockBytes);
-    }
-
-    static void
-    deallocate(void *block, std::size_t bytes)
-    {
-        if (bytes > kBlockBytes) {
-            ::operator delete(block);
-            return;
-        }
-        Slab &slab = local();
-        *static_cast<void **>(block) = slab.head;
-        slab.head = block;
-    }
-
-    /** Blocks currently parked on this thread's free list. */
-    static std::size_t
-    freeBlocks()
-    {
-        std::size_t count = 0;
-        for (void *block = local().head; block != nullptr;
-             block = *static_cast<void **>(block))
-            ++count;
-        return count;
-    }
-
-  private:
-    struct Slab
-    {
-        void *head = nullptr;
-        std::size_t blocksOwned = 0;
-
-        ~Slab()
-        {
-            while (head != nullptr) {
-                void *next = *static_cast<void **>(head);
-                ::operator delete(head);
-                head = next;
-            }
-        }
-    };
-
-    static Slab &
-    local()
-    {
-        thread_local Slab slab;
-        return slab;
-    }
-};
-
-} // namespace detail
-
-/**
- * Move-only type-erased void() callable with @p InlineBytes of
- * inline capture storage.
- */
+/** Trivially copyable type-erased void() callable with
+ *  @p InlineBytes of inline capture storage. */
 template <std::size_t InlineBytes>
 class SmallFunction
 {
@@ -123,168 +35,27 @@ class SmallFunction
     SmallFunction() = default;
     SmallFunction(std::nullptr_t) {}
 
-    template <typename F,
-              typename D = std::decay_t<F>,
-              typename = std::enable_if_t<
-                  !std::is_same_v<D, SmallFunction> &&
-                  !std::is_same_v<D, std::nullptr_t> &&
-                  std::is_invocable_r_v<void, D &>>>
-    SmallFunction(F &&fn)
+    template <typename F>
+        requires(!std::is_same_v<F, SmallFunction> &&
+                 std::is_invocable_r_v<void, F &> &&
+                 std::is_trivially_copyable_v<F> &&
+                 std::is_trivially_destructible_v<F> &&
+                 sizeof(F) <= InlineBytes &&
+                 alignof(F) <= alignof(std::max_align_t))
+    SmallFunction(F fn)
+        : invoke([](void *target) { (*static_cast<F *>(target))(); })
     {
-        // Inline only targets that relocate without risk: nothrow
-        // movable and not over-aligned. Everything else spills.
-        if constexpr (sizeof(D) <= InlineBytes &&
-                      alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<D>) {
-            ::new (storage) D(std::forward<F>(fn));
-            vtable = &kInlineVTable<D>;
-        } else if constexpr (alignof(D) > alignof(std::max_align_t)) {
-            // The slab only guarantees max_align; over-aligned
-            // captures go straight to aligned operator new.
-            void *block = ::operator new(
-                sizeof(D), std::align_val_t{alignof(D)});
-            ::new (block) D(std::forward<F>(fn));
-            std::memcpy(storage, &block, sizeof(void *));
-            vtable = &kAlignedSpillVTable<D>;
-        } else {
-            void *block = detail::CallbackSlab::allocate(sizeof(D));
-            ::new (block) D(std::forward<F>(fn));
-            std::memcpy(storage, &block, sizeof(void *));
-            vtable = &kSpillVTable<D>;
-        }
+        ::new (static_cast<void *>(storage)) F(fn);
     }
-
-    SmallFunction(SmallFunction &&other) noexcept { moveFrom(other); }
-
-    SmallFunction &
-    operator=(SmallFunction &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    SmallFunction &
-    operator=(std::nullptr_t) noexcept
-    {
-        destroy();
-        vtable = nullptr;
-        return *this;
-    }
-
-    SmallFunction(const SmallFunction &) = delete;
-    SmallFunction &operator=(const SmallFunction &) = delete;
-
-    ~SmallFunction() { destroy(); }
 
     /** Invoke the target; must not be empty. */
-    void
-    operator()()
-    {
-        vtable->invoke(storage);
-    }
+    void operator()() { invoke(storage); }
 
-    explicit operator bool() const { return vtable != nullptr; }
-
-    /** True if the capture lives in the slab, not inline. */
-    bool
-    spilled() const
-    {
-        return vtable != nullptr && vtable->relocate == nullptr &&
-               !vtable->trivial;
-    }
+    explicit operator bool() const { return invoke != nullptr; }
 
   private:
-    struct VTable
-    {
-        void (*invoke)(void *storage);
-        /** Move-construct src's inline target into dst, destroying
-         *  the source; null for spilled and trivial targets. */
-        void (*relocate)(void *dst, void *src);
-        void (*destroy)(void *storage);
-        /** Inline and memcpy-relocatable with no destructor. */
-        bool trivial;
-    };
-
-    template <typename D>
-    static constexpr VTable kInlineVTable{
-        [](void *storage) { (*static_cast<D *>(storage))(); },
-        std::is_trivially_copyable_v<D> &&
-                std::is_trivially_destructible_v<D>
-            ? nullptr
-            : +[](void *dst, void *src) {
-                  D *from = static_cast<D *>(src);
-                  ::new (dst) D(std::move(*from));
-                  from->~D();
-              },
-        std::is_trivially_destructible_v<D>
-            ? nullptr
-            : +[](void *storage) { static_cast<D *>(storage)->~D(); },
-        std::is_trivially_copyable_v<D> &&
-            std::is_trivially_destructible_v<D>,
-    };
-
-    template <typename D>
-    static constexpr VTable kSpillVTable{
-        [](void *storage) {
-            void *block;
-            std::memcpy(&block, storage, sizeof(void *));
-            (*static_cast<D *>(block))();
-        },
-        nullptr,
-        [](void *storage) {
-            void *block;
-            std::memcpy(&block, storage, sizeof(void *));
-            static_cast<D *>(block)->~D();
-            detail::CallbackSlab::deallocate(block, sizeof(D));
-        },
-        false,
-    };
-
-    template <typename D>
-    static constexpr VTable kAlignedSpillVTable{
-        [](void *storage) {
-            void *block;
-            std::memcpy(&block, storage, sizeof(void *));
-            (*static_cast<D *>(block))();
-        },
-        nullptr,
-        [](void *storage) {
-            void *block;
-            std::memcpy(&block, storage, sizeof(void *));
-            static_cast<D *>(block)->~D();
-            ::operator delete(block, std::align_val_t{alignof(D)});
-        },
-        false,
-    };
-
-    void
-    moveFrom(SmallFunction &other) noexcept
-    {
-        vtable = other.vtable;
-        if (vtable == nullptr)
-            return;
-        if (vtable->relocate != nullptr) {
-            vtable->relocate(storage, other.storage);
-        } else {
-            // Trivial inline targets and spilled block pointers both
-            // relocate with a raw copy.
-            std::memcpy(storage, other.storage, InlineBytes);
-        }
-        other.vtable = nullptr;
-    }
-
-    void
-    destroy() noexcept
-    {
-        if (vtable != nullptr && vtable->destroy != nullptr)
-            vtable->destroy(storage);
-    }
-
     alignas(std::max_align_t) unsigned char storage[InlineBytes];
-    const VTable *vtable = nullptr;
+    void (*invoke)(void *target) = nullptr;
 };
 
 } // namespace sgcn

@@ -158,6 +158,18 @@ constexpr LayerPin kTimingPins[] = {
      10828, 127456, 87391, 4555264, 0x256f959af183a881ull},
     {ExecutionMode::Timing, "CR", "SGCN", "tile128", false, 25114, 20732,
      16536, 67488, 47534, 108210433, 0x2eb00b29c2bfba29ull},
+    {ExecutionMode::Timing, "CR", "GCNAX", "retry", true, 86157, 41083,
+     24588, 128364, 62238, 173544448, 0x13786933653f2b88ull},
+    {ExecutionMode::Timing, "CR", "GCNAX", "retry", false, 86797, 40977,
+     16536, 128354, 62527, 109387264, 0x00844015cb3ec81full},
+    {ExecutionMode::Timing, "CR", "AWB-GCN", "retry", true, 30955, 16648,
+     3536, 259874, 190666, 4555264, 0xf311485cfaf0fed1ull},
+    {ExecutionMode::Timing, "CR", "AWB-GCN", "retry", false, 32330, 16648,
+     8892, 259874, 190666, 47746048, 0xc05e556cdd813261ull},
+    {ExecutionMode::Timing, "CR", "SGCN", "retry", true, 54522, 26338,
+     11256, 127815, 80227, 4555264, 0x9d96d0f7a1004140ull},
+    {ExecutionMode::Timing, "CR", "SGCN", "retry", false, 51698, 9248,
+     16536, 67488, 49093, 108210433, 0x3bff5a9c6eb3d83aull},
 };
 
 /** Fast-mode layers on the CR, CS and PM fixtures at scale 0.08. */
@@ -356,8 +368,9 @@ layerDigest(const LayerResult &r)
 
 /** Apply a LayerPin's variant to its personality and network: a
  *  replacement policy, a hidden width ("hidden64"), a global cache
- *  size ("cacheKb128"), a slice width ("slice96") or a destination
- *  tile height ("tile128"); "" keeps both. */
+ *  size ("cacheKb128"), a slice width ("slice96"), a destination
+ *  tile height ("tile128") or transient DRAM retries on 10% of
+ *  bursts ("retry"); "" keeps both. */
 void
 applyVariant(const std::string &variant, AccelConfig &config,
              NetworkSpec &net)
@@ -375,6 +388,9 @@ applyVariant(const std::string &variant, AccelConfig &config,
     } else if (variant.starts_with("slice")) {
         config.sliceC =
             static_cast<std::uint32_t>(std::stoul(variant.substr(5)));
+    } else if (variant == "retry") {
+        config.dram.transientRetryProb = 0.1;
+        config.dram.retrySeed = 0x5eed;
     } else if (variant.starts_with("tile")) {
         config.dstTileRows =
             static_cast<VertexId>(std::stoul(variant.substr(4)));
@@ -623,17 +639,23 @@ TEST_F(DataflowParity, EveryPersonalityModesAgreeOnCrCsPm)
 TEST_F(DataflowParity, TimingLayersArePinnedExactly)
 {
     std::size_t tiled = 0;
+    std::size_t retried = 0;
     for (const LayerPin &pin : kTimingPins) {
         const LayerResult r = expectPinned(pin, {&cora, 1});
         if (std::string_view(pin.variant) == "tile128" &&
             r.schedule.tileSpans.size() > kMinTileSpans)
             ++tiled;
+        if (std::string_view(pin.variant) == "retry" && r.dramRetries > 0)
+            ++retried;
     }
-    // Every personality on both layers, and the five row-product
-    // personalities again at 128-row tiles...
-    EXPECT_EQ(std::size(kTimingPins), 22u);
-    // ...where every layer keeps more than the fallback's spans.
+    // Every personality on both layers, the five row-product
+    // personalities again at 128-row tiles, and GCNAX, AWB-GCN and
+    // SGCN again with DRAM retries...
+    EXPECT_EQ(std::size(kTimingPins), 28u);
+    // ...where every 128-row layer keeps more than the fallback's
+    // spans, and every retry layer re-queues bursts.
     EXPECT_EQ(tiled, 10u);
+    EXPECT_EQ(retried, 6u);
 }
 
 TEST_F(DataflowParity, FastLayersArePinnedExactly)

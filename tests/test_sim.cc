@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
+#include <type_traits>
 
+#include "mem/mem_request.hh"
 #include "sim/cli.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -309,23 +313,21 @@ TEST(EventQueue, RunLimitBetweenFarEvents)
     EXPECT_EQ(queue.now(), 5000u);
 }
 
-TEST(EventQueue, SpilledCapturesExecuteInOrder)
+TEST(EventQueue, FullBudgetCapturesExecuteInOrder)
 {
-    // Captures larger than the inline budget go through the slab
-    // spill path; ordering and content must be unaffected.
+    // Captures that fill the whole inline budget keep their content
+    // and their (time, seq) order.
     EventQueue queue;
-    struct Fat
-    {
-        std::uint64_t payload[12]; // 96 B > kEventCaptureBytes
-    };
     std::vector<std::uint64_t> seen;
     for (std::uint64_t i = 0; i < 8; ++i) {
-        Fat fat{};
-        fat.payload[0] = i;
-        fat.payload[11] = 100 + i;
-        queue.schedule(4, [&seen, fat] {
-            seen.push_back(fat.payload[0]);
-            seen.push_back(fat.payload[11]);
+        std::array<std::uint64_t, 5> payload{};
+        payload[0] = i;
+        payload[4] = 100 + i;
+        static_assert(sizeof(&seen) + sizeof(payload) ==
+                      kEventCaptureBytes);
+        queue.schedule(4, [&seen, payload] {
+            seen.push_back(payload[0]);
+            seen.push_back(payload[4]);
         });
     }
     queue.run();
@@ -336,7 +338,39 @@ TEST(EventQueue, SpilledCapturesExecuteInOrder)
     }
 }
 
-TEST(SmallFunction, InlineAndSpilledInvocation)
+// The capture rule is the constructor's constraint: callbacks are
+// trivially copyable, and an owning, oversized or over-aligned
+// capture does not compile.
+static_assert(std::is_trivially_copyable_v<EventQueue::Callback>);
+static_assert(std::is_trivially_copyable_v<MemCallback>);
+
+struct alignas(64) Wide
+{
+    std::uint64_t value;
+};
+
+template <typename F>
+constexpr bool kSchedulable = std::is_constructible_v<EventQueue::Callback, F>;
+
+static_assert(!kSchedulable<decltype([p = std::shared_ptr<int>()] {
+    (void)p;
+})>);
+static_assert(!kSchedulable<decltype([f = std::function<void()>()] {
+    f();
+})>);
+static_assert(!kSchedulable<decltype([a = std::array<std::uint64_t, 10>()] {
+    (void)a;
+})>);
+static_assert(!kSchedulable<decltype([w = Wide()] { (void)w; })>);
+// A DRAM completion: the device pointer plus the request's callback.
+static_assert(
+    kSchedulable<decltype([p = static_cast<int *>(nullptr),
+                           done = MemCallback()]() mutable {
+        ++*p;
+        done();
+    })>);
+
+TEST(SmallFunction, EmptyAndInlineInvocation)
 {
     SmallFunction<16> empty;
     EXPECT_FALSE(static_cast<bool>(empty));
@@ -344,82 +378,33 @@ TEST(SmallFunction, InlineAndSpilledInvocation)
     int hits = 0;
     SmallFunction<16> small([&hits] { ++hits; });
     EXPECT_TRUE(static_cast<bool>(small));
-    EXPECT_FALSE(small.spilled());
     small();
     EXPECT_EQ(hits, 1);
 
-    std::uint64_t payload[8] = {7, 0, 0, 0, 0, 0, 0, 9};
-    std::uint64_t sum = 0;
-    SmallFunction<16> fat([&sum, payload] {
-        sum += payload[0] + payload[7];
-    });
-    EXPECT_TRUE(fat.spilled());
-    fat();
-    EXPECT_EQ(sum, 16u);
+    small = nullptr;
+    EXPECT_FALSE(static_cast<bool>(small));
 }
 
-TEST(SmallFunction, OverAlignedCaptureIsAlignedAndInvocable)
+TEST(SmallFunction, CopiesAreIndependentValues)
 {
-    // Captures over-aligned beyond max_align bypass the slab and use
-    // aligned allocation; the stored object must honour alignment.
-    struct alignas(64) Wide
-    {
-        std::uint64_t value;
-    };
-    Wide wide{17};
-    std::uintptr_t observed = 0;
-    SmallFunction<32> fn([wide, &observed] {
-        observed = reinterpret_cast<std::uintptr_t>(&wide) &
-                   (alignof(Wide) - 1);
-        EXPECT_EQ(wide.value, 17u);
-    });
-    EXPECT_TRUE(fn.spilled());
-    SmallFunction<32> moved(std::move(fn));
-    moved();
-    EXPECT_EQ(observed, 0u);
-}
-
-TEST(SmallFunction, MoveTransfersOwnership)
-{
-    int hits = 0;
-    SmallFunction<32> a([&hits] { ++hits; });
-    SmallFunction<32> b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    EXPECT_TRUE(static_cast<bool>(b));
-    b();
-    EXPECT_EQ(hits, 1);
-
-    a = std::move(b);
-    EXPECT_TRUE(static_cast<bool>(a));
-    EXPECT_FALSE(static_cast<bool>(b));
+    // A copy duplicates the capture's bytes and owns nothing: each
+    // copy advances its own state, and clearing one leaves the other
+    // intact.
+    std::vector<int> seen;
+    SmallFunction<16> a([&seen, n = 0]() mutable { seen.push_back(++n); });
     a();
-    EXPECT_EQ(hits, 2);
+    SmallFunction<16> b(a);
+    a();
+    b();
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, 2}));
 
     a = nullptr;
     EXPECT_FALSE(static_cast<bool>(a));
-}
-
-TEST(SmallFunction, DestroysCapturesExactlyOnce)
-{
-    // shared_ptr use counts observe capture destruction through
-    // moves, reassignment, and the spill path.
-    auto token = std::make_shared<int>(42);
-    {
-        SmallFunction<32> inline_fn([token] {});
-        EXPECT_EQ(token.use_count(), 2);
-        SmallFunction<32> moved(std::move(inline_fn));
-        EXPECT_EQ(token.use_count(), 2);
-        moved = nullptr;
-        EXPECT_EQ(token.use_count(), 1);
-
-        std::uint64_t pad[8] = {};
-        SmallFunction<16> spilled([token, pad] { (void)pad[0]; });
-        EXPECT_TRUE(spilled.spilled());
-        EXPECT_EQ(token.use_count(), 2);
-        SmallFunction<16> spill_moved(std::move(spilled));
-        EXPECT_EQ(token.use_count(), 2);
-    }
-    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(static_cast<bool>(b));
+    b();
+    a = b;
+    a();
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, 2, 3, 4}));
 }
 
 TEST(Cli, FlagsAndValues)
