@@ -16,27 +16,59 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
     const auto &picks = ec.sweepPicks;
     StreamLineCounter stream{ec.fastStreamTraffic};
     std::vector<Cycle> engine_cycles(ec.cfg.aggEngines, 0);
-    // A dense layout whose slices' sets move in lockstep
-    // (Cache::lockstep) reads each slice run's first line, and each
-    // pass counts its cache work once more per further line of the
-    // slice.
+    const unsigned slices = layout.numSlices();
+    const Addr base = layout.baseAddress();
+    const std::uint64_t row_stride = denseRowStride(layout.featureWidth());
+    // A dense layout whose rows' sets move in lockstep
+    // (Cache::lockstep) takes one pass per source tile, not one per
+    // (source tile, slice). Every slice pass replays the tile's picks
+    // on its own lines' sets, and each line of a row has the row's tag
+    // and a set of its own, so all of a row's sets start and end
+    // every pass in one state. The pass reads each pick's first line
+    // and then counts its cache work once more per further line of
+    // the row; each pick's engine gains the row's summed slice
+    // compute. Such a layout never builds its slice table.
     const bool lockstep =
         layout.kind() == FormatKind::Dense &&
-        ec.cache.lockstep(layout.baseAddress(),
-                          denseRowStride(layout.featureWidth()),
+        ec.cache.lockstep(base, row_stride,
                           static_cast<std::uint64_t>(layout.sliceWidth()) *
                               kFeatureBytes);
+    Cycle row_compute = 0;
+    if (lockstep) {
+        for (unsigned s = 0; s < slices; ++s) {
+            row_compute += std::max<Cycle>(
+                1, divCeil(layout.sliceEnd(s) - layout.sliceBegin(s),
+                           ec.cfg.simdLanes));
+        }
+    }
+    const FeatureLayout::SlicePlan *table =
+        lockstep ? nullptr : layout.sliceTable();
 
     // Source tiles outermost: the tile's edges are fetched once into
     // the edge buffer (Fig. 5) and replayed for every feature slice.
-    const unsigned slices = layout.numSlices();
-    const FeatureLayout::SlicePlan *table = layout.sliceTable();
     for (std::size_t c = 0; c + 1 < ec.sweepSrcBegin.size(); ++c) {
         const std::span<const EngineContext::SweepEntry> runs(
             entries.data() + ec.sweepSrcBegin[c],
             ec.sweepSrcBegin[c + 1] - ec.sweepSrcBegin[c]);
-        for (unsigned s = 0; s < slices; ++s) {
+        if (lockstep) {
             const Cache::Tally mark = ec.cache.tally();
+            for (const EngineContext::SweepEntry &entry : runs) {
+                stream.addPlan(ec.topologyPlan(entry), MemOp::Read,
+                               TrafficClass::Topology);
+                const std::size_t pick_end = entry.pickBegin + entry.walk;
+                for (std::size_t i = entry.pickBegin; i < pick_end; ++i) {
+                    ec.cache.accessRunFunctional(
+                        base + static_cast<Addr>(picks[i]) * row_stride, 1,
+                        MemOp::Read, cls);
+                }
+                engine_cycles[entry.engine] += entry.walk * row_compute;
+                ec.aggMacs += static_cast<std::uint64_t>(entry.walk) *
+                              layout.featureWidth();
+            }
+            ec.cache.repeatSince(mark, row_stride / kCachelineBytes - 1);
+            continue;
+        }
+        for (unsigned s = 0; s < slices; ++s) {
             for (const EngineContext::SweepEntry &entry : runs) {
                 if (s == 0) {
                     // Later slices replay the edge buffer.
@@ -52,9 +84,8 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                                   slices + s];
                     if (pe.lines !=
                         FeatureLayout::SlicePlan::kMultiRun) {
-                        ec.cache.accessRunFunctional(
-                            pe.addr, lockstep ? 1 : pe.lines,
-                            MemOp::Read, cls);
+                        ec.cache.accessRunFunctional(pe.addr, pe.lines,
+                                                     MemOp::Read, cls);
                     } else {
                         ec.cache.accessPlanFunctional(
                             layout.planSliceRead(picks[i], s),
@@ -67,8 +98,6 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                 engine_cycles[entry.engine] += compute;
                 ec.aggMacs += macs;
             }
-            if (lockstep && !runs.empty())
-                ec.cache.repeatSince(mark, table[s].lines - 1);
         }
     }
     return *std::max_element(engine_cycles.begin(),

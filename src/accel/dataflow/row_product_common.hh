@@ -35,10 +35,11 @@ Cycle sweepTileFast(EngineContext &ec, const TiledGraphView &view,
  * The row product's pick policy for TimingSweep, over one
  * destination tile's program: each engine keeps its own cursor,
  * since engines run ahead of each other into different source tiles,
- * and takes its runs in the fast sweep's order (source tile, slice,
- * run, pick). A pick reads one feature slice through the shared
- * cache; a run's first pick of slice 0 also fetches its topology,
- * and later slices replay the edge buffer (Fig. 5).
+ * and takes its runs in the order of the fast sweep's per-slice walk
+ * (source tile, slice, run, pick). A pick reads one feature slice
+ * through the shared cache; a run's first pick of slice 0 also
+ * fetches its topology, and later slices replay the edge buffer
+ * (Fig. 5).
  */
 class RowProductPicks
 {

@@ -29,6 +29,7 @@
 #include "accel/config.hh"
 #include "accel/workload.hh"
 #include "engine/systolic.hh"
+#include "formats/dense.hh"
 #include "graph/partition.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -36,14 +37,6 @@
 
 namespace sgcn
 {
-
-/** Reserved stride of a dense row (residual/psum regions). */
-inline std::uint64_t
-denseRowStride(std::uint32_t width)
-{
-    return alignUp(static_cast<std::uint64_t>(width) * kFeatureBytes,
-                   kCachelineBytes);
-}
 
 /** Fast mode's stream sink: counts each queued region's lines as
  *  stream traffic where timing mode's StreamDma issues them. */

@@ -119,7 +119,7 @@ StreamArtifactCache::preparedLayout(FormatKind format,
     // the slice width, and the plans and storageBytes follow the row
     // stride. So one dense layout serves every mask of its shape,
     // bound to the first of them asked for, and every dense layer of
-    // a run shares one slice table.
+    // a run shares one slice table, when its sweep needs one.
     const MaskKey mask_key =
         format == FormatKind::Dense
             ? MaskKey{0, mask->rows(), mask->cols(), 0, 0}

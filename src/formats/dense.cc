@@ -7,14 +7,6 @@
 namespace sgcn
 {
 
-DenseLayout::DenseLayout(std::uint32_t feature_width,
-                         std::uint32_t slice_width)
-    : FeatureLayout(feature_width, slice_width)
-{
-    rowStride = alignUp(static_cast<std::uint64_t>(width) *
-                        kFeatureBytes, kCachelineBytes);
-}
-
 void
 DenseLayout::prepare(const FeatureMask &mask, Addr base)
 {
@@ -25,7 +17,8 @@ AccessPlan
 DenseLayout::planSliceRead(VertexId v, unsigned s) const
 {
     AccessPlan plan;
-    const Addr row_base = baseAddr + static_cast<Addr>(v) * rowStride;
+    const Addr row_base =
+        baseAddr + static_cast<Addr>(v) * denseRowStride(width);
     const std::uint32_t begin = sliceBegin(s);
     const std::uint32_t end = sliceEnd(s);
     plan.addBytes(row_base + static_cast<Addr>(begin) * kFeatureBytes,
@@ -38,7 +31,7 @@ AccessPlan
 DenseLayout::planRowRead(VertexId v) const
 {
     AccessPlan plan;
-    plan.addBytes(baseAddr + static_cast<Addr>(v) * rowStride,
+    plan.addBytes(baseAddr + static_cast<Addr>(v) * denseRowStride(width),
                   static_cast<std::uint64_t>(width) * kFeatureBytes);
     return plan;
 }
@@ -60,7 +53,8 @@ std::uint64_t
 DenseLayout::storageBytes() const
 {
     SGCN_ASSERT(boundMask != nullptr, "layout not prepared");
-    return static_cast<std::uint64_t>(boundMask->rows()) * rowStride;
+    return static_cast<std::uint64_t>(boundMask->rows()) *
+           denseRowStride(width);
 }
 
 double
@@ -72,9 +66,7 @@ DenseLayout::staticSliceBytesEstimate() const
 std::vector<std::uint8_t>
 encodeDense(const DenseMatrix &matrix)
 {
-    const std::uint64_t stride = alignUp(
-        static_cast<std::uint64_t>(matrix.cols()) * kFeatureBytes,
-        kCachelineBytes);
+    const std::uint64_t stride = denseRowStride(matrix.cols());
     std::vector<std::uint8_t> bytes(matrix.rows() * stride, 0);
     for (std::uint32_t r = 0; r < matrix.rows(); ++r) {
         std::memcpy(bytes.data() + r * stride, matrix.row(r),
@@ -88,9 +80,7 @@ DenseMatrix
 decodeDense(const std::vector<std::uint8_t> &bytes, std::uint32_t rows,
             std::uint32_t cols)
 {
-    const std::uint64_t stride = alignUp(
-        static_cast<std::uint64_t>(cols) * kFeatureBytes,
-        kCachelineBytes);
+    const std::uint64_t stride = denseRowStride(cols);
     SGCN_ASSERT(bytes.size() >= rows * stride, "dense buffer too small");
     DenseMatrix matrix(rows, cols);
     for (std::uint32_t r = 0; r < rows; ++r) {

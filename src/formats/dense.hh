@@ -14,11 +14,22 @@
 namespace sgcn
 {
 
-/** Row-major dense layout; rows padded to cacheline multiples. */
+/** Bytes reserved per dense row of @p width features: the row padded
+ *  to a whole number of cachelines. Every dense region (features,
+ *  X.W, residuals, partial sums) lays its rows out at this stride. */
+inline std::uint64_t
+denseRowStride(std::uint32_t width)
+{
+    return alignUp(static_cast<std::uint64_t>(width) * kFeatureBytes,
+                   kCachelineBytes);
+}
+
+/** Row-major dense layout; rows padded to cacheline multiples
+ *  (denseRowStride). */
 class DenseLayout : public FeatureLayout
 {
   public:
-    DenseLayout(std::uint32_t feature_width, std::uint32_t slice_width);
+    using FeatureLayout::FeatureLayout;
 
     FormatKind kind() const override { return FormatKind::Dense; }
     bool supportsSlicing() const override { return true; }
@@ -30,12 +41,6 @@ class DenseLayout : public FeatureLayout
     std::uint32_t sliceValues(VertexId v, unsigned s) const override;
     std::uint64_t storageBytes() const override;
     double staticSliceBytesEstimate() const override;
-
-    /** Bytes reserved per row. */
-    std::uint64_t rowStrideBytes() const { return rowStride; }
-
-  private:
-    std::uint64_t rowStride = 0;
 };
 
 /** Serialize a dense matrix row-major with padded rows. */

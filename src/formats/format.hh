@@ -136,10 +136,11 @@ class FeatureLayout
      * The (rows x numSlices()) slice-plan table, indexed
      * v * numSlices() + s; built lazily on first use (thread-safe —
      * layouts are shared across the sweep job pool) and dropped on
-     * re-prepare. The row-product sweeps resolve tens of millions
-     * of picks against only rows x slices distinct plans, so the
-     * table turns two virtual calls plus a plan build per pick into
-     * one 16-byte load.
+     * re-prepare. The row-product sweeps' per-slice walk (every
+     * layout but the dense ones Cache::lockstep accepts) resolves
+     * tens of millions of picks against only rows x slices distinct
+     * plans, so the table turns two virtual calls plus a plan build
+     * per pick into one 16-byte load.
      */
     const SlicePlan *sliceTable() const;
 

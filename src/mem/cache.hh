@@ -15,12 +15,14 @@
  *
  * The fast sweeps over dense rows lean on one property of the set
  * mapping (lockstep()): when a row's lines divide the set count and
- * rows start aligned to their size, the lines of one slice of a row
- * share a tag and sit in sets that every slice access reaches
- * together. Under LRU, FIFO and SRRIP those sets stay in identical
- * states, so the functional sweeps run one line per slice and count
- * it for every line of the slice (tally() and repeatSince()). Timing
- * mode still issues every line: there each one is a DRAM request.
+ * rows start aligned to their size, the lines of a row share a tag
+ * and each sits in a set of its own. Under LRU, FIFO and SRRIP, sets
+ * that see one access sequence from one start stay in identical
+ * states, so the row-product sweep reads one line per row per
+ * source-tile pass and counts it for every line of the row, and the
+ * column product reads one line per partial-sum strip and counts it
+ * for the strip (tally() and repeatSince()). Timing mode still
+ * issues every line: there each one is a DRAM request.
  */
 
 #ifndef SGCN_MEM_CACHE_HH
@@ -213,7 +215,9 @@ class Cache
      * Count everything since @p mark @p extra more times: hits,
      * misses, MSHR coalesces, evictions, writebacks and the
      * functional read and write lines of every class. The lockstep
-     * sweeps run one set of a lockstep group and count it for all.
+     * sweeps run one set of a lockstep group and count it for all:
+     * a row-product pass once more per further line of the row, a
+     * partial-sum strip once more per further line of the strip.
      */
     void repeatSince(const Tally &mark, std::uint64_t extra);
 
@@ -222,18 +226,26 @@ class Cache
      * @p base and touched only functionally: whole-row pins into an
      * empty cache, then whole runs of slices that start every
      * @p slice_bytes of a row (reads and read-modify-writes), then
-     * flush(). Returns true when the sets holding one slice of a row
-     * move in lockstep: every row is a whole number of lines that
-     * divides the set count, every row starts on a multiple of its
-     * own size, every slice starts on a line, and the policy keeps
-     * each set's state to itself. Then every line of a slice has the
-     * row's tag and its own set, and those sets see one access
-     * sequence from one all-invalid start, so running a slice's
-     * first line and counting it for the slice's lines (repeatSince)
-     * gives every count the whole slice would. The pins stay whole:
-     * they all land before the first run, so the sets the reduced
-     * runs skip change none of their counts. Random fails the rule:
-     * every set draws its victims from one shared stream.
+     * flush(). Returns true when the sets holding a row move in
+     * lockstep: every row is a whole number of lines that divides
+     * the set count, every row starts on a multiple of its own size,
+     * every slice starts on a line, and the policy keeps each set's
+     * state to itself. Then every line of a row has the row's tag
+     * and a set of its own, and lies in exactly one slice. Line j of
+     * every row maps into one group of sets, the same way for every
+     * j, and the groups start alike (all invalid, then whole-row
+     * pins). A pass that runs one slice of a sequence of rows gives
+     * each of the slice's groups that one sequence, so they stay
+     * alike: running each row's first line of the slice and counting
+     * it once more per further line of the slice (repeatSince) gives
+     * every count the whole slice would. When every slice runs the
+     * same row sequence, as the passes over one source tile do,
+     * running each row's first line once and counting that pass once
+     * more per further line of the row gives every count of the
+     * slice-by-slice passes. The pins stay whole: they all land
+     * before the first run, so the sets the reduced runs skip change
+     * none of their counts. Random fails the rule: every set draws
+     * its victims from one shared stream.
      */
     bool lockstep(Addr base, std::uint64_t row_bytes,
                   std::uint64_t slice_bytes) const;

@@ -41,13 +41,16 @@
  * input layer and layer 1 on CR, CS and PM at scale 0.08, where the
  * goldens above only keep a band. Their variants sit on both sides
  * of the lockstep rule (Cache::lockstep), under which a dense sweep
- * reads one line per slice and counts it for the slice's lines:
- * FIFO and SRRIP pass it and Random fails it, hidden widths 64 and
- * 512 pass and 100 (7-line rows) fails, a 128 KB cache passes, and
- * so do AWB-GCN's equal 64-feature strips, while its 96-feature
- * strips (6, 6 and 4 lines) and GCNAX's 24-feature slices, which
- * start inside a line, keep the per-line path. The values were
- * captured before the rule existed.
+ * reads one line per row per source-tile pass and counts it for the
+ * row's lines: FIFO and SRRIP pass it and Random fails it, hidden
+ * widths 64, 250 and 512 pass and 100 (7-line rows) fails, a 128 KB
+ * cache passes, and so do AWB-GCN's equal 64-feature strips, while
+ * its 96-feature strips (6, 6 and 4 lines) and GCNAX's 24-feature
+ * slices, which start inside a line, keep the per-line path. At
+ * hidden 250 a row is 1,000 bytes padded to 16 lines, so those rows
+ * pin the row's line count to its padded stride, not width * 4 / 64.
+ * The values were captured before the rule existed, and the hidden
+ * 250 rows before the rule was lifted from slices to rows.
  */
 
 #include <gtest/gtest.h>
@@ -294,6 +297,14 @@ constexpr LayerPin kFastPins[] = {
      44618, 37257, 43474400, 0xeb53de7fd673b157ull},
     {ExecutionMode::Fast, "CR", "EnGN", "hidden100", false, 7783, 6006, 6877,
      44618, 37257, 13737400, 0x17d4167e76abbc8full},
+    {ExecutionMode::Fast, "CR", "GCNAX", "hidden250", true, 33718, 15182,
+     26429, 101984, 43232, 108686000, 0xf9bd2b318593b617ull},
+    {ExecutionMode::Fast, "CR", "GCNAX", "hidden250", false, 18593, 15182,
+     15720, 101984, 43232, 83468500, 0x1028402ea86c1b1dull},
+    {ExecutionMode::Fast, "CR", "EnGN", "hidden250", true, 32850, 14314,
+     26429, 101984, 46656, 108686000, 0xde68680a45dd4dd4ull},
+    {ExecutionMode::Fast, "CR", "EnGN", "hidden250", false, 18485, 14314,
+     15720, 101984, 46656, 83468500, 0x7448df0ad72b8189ull},
     {ExecutionMode::Fast, "CR", "GCNAX", "hidden512", true, 76796, 39662,
      52858, 203968, 47296, 222588928, 0x8e1242c5d892a04bull},
     {ExecutionMode::Fast, "CR", "GCNAX", "hidden512", false, 56121, 39662,
@@ -667,7 +678,7 @@ TEST_F(DataflowParity, FastLayersArePinnedExactly)
         expectPinned(pin, fixtures);
     // Every personality on both layers of CR, CS and PM, and the
     // variants on CR.
-    EXPECT_EQ(std::size(kFastPins), 76u);
+    EXPECT_EQ(std::size(kFastPins), 80u);
 }
 
 TEST_F(DataflowParity, InputLayerRunsCombFirst)

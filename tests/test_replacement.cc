@@ -495,7 +495,10 @@ INSTANTIATE_TEST_SUITE_P(
  * read-modify-writes with an unpinAll now and then, then a flush.
  * The read-modify-write streams cut the row into equal slices of 2
  * lines, since the flush counts every slice's dirty lines with one
- * factor; the read-only streams cut it 3, 3 and 2.
+ * factor; the read-only streams cut it 3, 3 and 2. A second case
+ * lifts the rule from slices to rows, as the fast sweep does: one
+ * pass per source tile reads each pick's first line and counts it
+ * for the whole row, against slice-by-slice passes of every line.
  */
 class LockstepDifferential
     : public ::testing::TestWithParam<
@@ -610,6 +613,89 @@ TEST_P(LockstepDifferential, OneLinePerSliceCountsEveryLine)
                 EXPECT_EQ(a.readLines[c], b.readLines[c]);
                 EXPECT_EQ(a.writeLines[c], b.writeLines[c]);
             }
+        }
+    }
+}
+
+TEST_P(LockstepDifferential, OneLinePerRowPassCountsEveryLine)
+{
+    // sweepTileFast's row pass: each source tile's picks run once,
+    // reading each row's first line, and the pass's counts repeat for
+    // the row's other lines. The full cache runs the picks once per
+    // slice, every line of the slice, as the per-slice walk would.
+    const auto [policy, ways] = GetParam();
+    constexpr std::uint64_t kRowLines = 8;
+    constexpr std::uint64_t kSets = 32;
+    constexpr Addr kBase = 0x4000'0000;
+    const std::vector<std::uint32_t> slice_lines{3, 3, 2};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto renorm = static_cast<std::uint32_t>(4 * kSets * ways);
+        PolicyHarness full(policy, ways, kSets * ways * kCachelineBytes,
+                           renorm);
+        PolicyHarness one(policy, ways, kSets * ways * kCachelineBytes,
+                          renorm);
+        ASSERT_TRUE(one.cache->lockstep(kBase, kRowLines * kCachelineBytes,
+                                        slice_lines[0] * kCachelineBytes));
+        const std::uint64_t rows = kSets / kRowLines * (2 * ways + 2);
+        Rng rng(seed);
+        const auto random_row = [&] {
+            return kBase + rng.uniformInt(rows) * kRowLines * kCachelineBytes;
+        };
+        std::vector<Addr> pass;
+        for (int layer = 0; layer < 4; ++layer) {
+            const std::uint64_t pinned_rows = rng.uniformInt(3 * ways);
+            for (std::uint64_t r = 0; r < pinned_rows; ++r) {
+                const Addr row = random_row();
+                for (std::uint64_t l = 0; l < kRowLines; ++l) {
+                    full.cache->pin(row + l * kCachelineBytes,
+                                    TrafficClass::FeatureIn);
+                    one.cache->pin(row + l * kCachelineBytes,
+                                   TrafficClass::FeatureIn);
+                }
+            }
+            for (int tile = 0; tile < 12; ++tile) {
+                // A tenth of the picks repeat the last one: the
+                // duplicate-access memo's case in the one-line cache.
+                pass.assign(1, random_row());
+                const std::uint64_t picks = 1 + rng.uniformInt(400);
+                while (pass.size() < picks) {
+                    pass.push_back(rng.bernoulli(0.1) ? pass.back()
+                                                      : random_row());
+                }
+                Addr slice_at = 0;
+                for (const std::uint32_t lines : slice_lines) {
+                    for (const Addr row : pass) {
+                        full.cache->accessRunFunctional(
+                            row + slice_at, lines, MemOp::Read,
+                            TrafficClass::FeatureIn);
+                    }
+                    slice_at += lines * kCachelineBytes;
+                }
+                const Cache::Tally mark = one.cache->tally();
+                for (const Addr row : pass) {
+                    one.cache->accessRunFunctional(row, 1, MemOp::Read,
+                                                   TrafficClass::FeatureIn);
+                }
+                one.cache->repeatSince(mark, kRowLines - 1);
+                ASSERT_EQ(one.cache->stats().hits, full.cache->stats().hits)
+                    << "layer " << layer << " tile " << tile;
+                ASSERT_EQ(one.cache->stats().misses,
+                          full.cache->stats().misses)
+                    << "layer " << layer << " tile " << tile;
+            }
+            full.cache->flush();
+            one.cache->flush();
+        }
+        EXPECT_EQ(one.cache->stats().evictions,
+                  full.cache->stats().evictions);
+        EXPECT_EQ(one.cache->stats().writebacks,
+                  full.cache->stats().writebacks);
+        const TrafficCounters &a = one.cache->functionalDramTraffic();
+        const TrafficCounters &b = full.cache->functionalDramTraffic();
+        for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+            EXPECT_EQ(a.readLines[c], b.readLines[c]);
+            EXPECT_EQ(a.writeLines[c], b.writeLines[c]);
         }
     }
 }
